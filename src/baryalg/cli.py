@@ -181,6 +181,15 @@ def _load_point_file(text: str) -> list[tuple[Fraction, ...]]:
         raise CliError("bad-json", f"invalid point file: {exc}") from exc
 
 
+def _count(opts, key: str, least: int) -> int:
+    """An integer option, rejected when it is below its least allowed value."""
+    value = opts[key]
+    if value < least:
+        flag = "--" + key.replace("_", "-")
+        raise CliError("bad-input", f"{flag} must be at least {least}, got {value}")
+    return value
+
+
 def _fmt_point(point: Sequence[Fraction]) -> list[str]:
     return [format_rational(c) for c in point]
 
@@ -317,8 +326,8 @@ def _random_point(rng: random.Random, dim: int) -> tuple[Fraction, ...]:
 
 def _cmd_laws_check(opts) -> dict:
     rng = random.Random(opts["seed"])
-    dim = opts.get("dim") or 2
-    samples = opts["samples"]
+    dim = _count(opts, "dim", 1)
+    samples = _count(opts, "samples", 0)
     checked: dict[str, int] = {}
     violations = []
     not_applicable = 0
@@ -346,11 +355,9 @@ def _cmd_closure(opts) -> dict:
     ring = _parse_ring(opts["ring"])
     points = _parse_point_set(opts["set"])
     _require_same_dimension(points)
-    depth = opts["depth"]
-    rounds = opts["rounds"]
-    line_bound = opts.get("line_bound") or 3
-    if depth < 0 or rounds < 0 or line_bound < 1:
-        raise CliError("bad-input", "bounds must be positive")
+    depth = _count(opts, "depth", 0)
+    rounds = _count(opts, "rounds", 0)
+    line_bound = _count(opts, "line_bound", 1)
     closure = hull.segment_closure_bounded(points, ring, depth, rounds, line_bound)
     ordered = sorted(closure)
     return {
@@ -364,7 +371,8 @@ def _cmd_probe_convexity(opts) -> dict:
     ring = _parse_ring(opts["ring"])
     points = _parse_point_set(opts["set"])
     _require_same_dimension(points)
-    report = hull.q_convexity_probe(points, ring, opts["samples"], opts["seed"])
+    samples = _count(opts, "samples", 0)
+    report = hull.q_convexity_probe(points, ring, samples, opts["seed"])
     return {
         "samples": report.samples,
         "failures": [
@@ -397,9 +405,8 @@ def _cmd_affine_equiv(opts) -> dict:
 def _cmd_iso_check(opts) -> dict:
     left, right = _load_polytopes(opts)
     ring = _parse_ring(opts["ring"])
-    verdict = affine.iso_decide(
-        left, right, ring, samples=opts["samples"], seed=opts["seed"]
-    )
+    samples = _count(opts, "samples", 0)
+    verdict = affine.iso_decide(left, right, ring, samples=samples, seed=opts["seed"])
     return {
         "isomorphic": verdict.isomorphic,
         "reason": verdict.reason,

@@ -130,17 +130,18 @@ def membership_report_T(
         return MembershipReport(False, None, "rational-hull-infeasible", feas.certificate)
 
     # The affine hull of the coefficient polytope: the equality rows plus the
-    # nonnegativity rows that are tight on every feasible point.
-    implicit = set(linalg.implicit_equalities(constraints))
-    eq_rows: list[list[Fraction]] = []
-    eq_rhs: list[Fraction] = []
-    for i, con in enumerate(constraints):
-        if con.rel == "==" or i in implicit:
-            a, b = con.oriented()
-            eq_rows.append(list(a))
-            eq_rhs.append(b)
+    # nonnegativity rows that are tight on every feasible point, which are
+    # the ones tight at a relative interior point.  The j-th inequality row
+    # is xi_j >= 0.
+    interior = linalg.relative_interior_point(constraints)
+    inequalities = [con for con in constraints if con.rel != "=="]
+    hull_rows = [con for con in constraints if con.rel == "=="]
+    hull_rows += [con for con, x in zip(inequalities, interior) if x == 0]
+    eq_rows = [list(con.oriented()[0]) for con in hull_rows]
+    eq_rhs = [con.oriented()[1] for con in hull_rows]
     solved = linalg.solve_affine(eq_rows, eq_rhs)
-    assert solved is not None  # the system is feasible
+    if solved is None:
+        raise HullError("the affine hull of a feasible coefficient polytope is empty")
     particular, kernel = solved
 
     if not kernel:
@@ -181,13 +182,13 @@ def membership_report_T(
     ring_point = [
         sum((Fraction(v[i][j]) * y[j] for j in range(m)), Fraction(0)) for i in range(m)
     ]
-    assert all(ring_contains(c, ring) for c in ring_point)
+    if not all(ring_contains(c, ring) for c in ring_point):
+        raise HullError("Smith normal form produced a point outside the ring")
 
     # Ring points are dense on the affine hull, and the polytope has interior
     # there, so a witness exists: walk from the known ring point toward a
     # relative interior point along integer kernel directions, rounding the
     # steps to denominators p^k until all inequalities hold.
-    interior = list(linalg.relative_interior_point(constraints))
     int_kernel = []
     for vec in kernel:
         lcm = 1
@@ -197,7 +198,8 @@ def membership_report_T(
     columns = [[int_kernel[j][i] for j in range(len(int_kernel))] for i in range(m)]
     delta = [interior[i] - ring_point[i] for i in range(m)]
     alpha_solution = linalg.solve_affine(columns, delta)
-    assert alpha_solution is not None  # both points lie on the affine hull
+    if alpha_solution is None:
+        raise HullError("relative interior point is off the affine hull")
     alpha = alpha_solution[0]
     p = smallest_inverted_prime(ring)
     den = 1
@@ -208,10 +210,11 @@ def membership_report_T(
             for i in range(m):
                 xi[i] += step * direction[i]
         if all(c >= 0 for c in xi):
-            assert all(ring_contains(c, ring) for c in xi)
+            if not all(ring_contains(c, ring) for c in xi):
+                raise HullError("ring witness has a coefficient outside the ring")
             return MembershipReport(True, _combination(xi), "ring-combination")
         den *= p
-    raise AssertionError("ring witness search failed to converge")
+    raise HullError("ring witness search failed to converge")
 
 
 def hull_member_T(
@@ -246,7 +249,8 @@ def caratheodory(d: Sequence, points: Sequence[Sequence]) -> tuple[list[int], li
         rows = [[support[j][coord] for j in range(len(support))] for coord in range(dim)]
         rows.append([Fraction(1)] * len(support))
         solved = linalg.solve_affine(rows, [Fraction(0)] * (dim + 1))
-        assert solved is not None
+        if solved is None:
+            raise HullError("homogeneous dependency system has no solution")
         _, kernel = solved
         if not kernel:
             break

@@ -2,10 +2,10 @@
 
 Everything here is bit-exact: reduced row echelon form, affine system
 solving, Smith normal form with unimodular transforms, and exact linear
-feasibility with witnesses and Farkas certificates.  Feasibility uses
-Fourier-Motzkin elimination up to FM_VARIABLE_LIMIT variables and a
-Bland-rule simplex above that; both paths produce the same kind of
-witness/certificate.
+feasibility with witnesses and Farkas certificates.  Feasibility and
+optimization share one two-phase simplex in standard form whose Bland
+pivoting rule cannot cycle; an infeasible system gets its certificate from
+the phase-1 duals.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from typing import Optional, Sequence
 
 QVector = list[Fraction]
 QMatrix = list[list[Fraction]]
-
-FM_VARIABLE_LIMIT = 8
 
 
 class LinalgError(ValueError):
@@ -312,250 +310,58 @@ def verify_farkas_certificate(
     return all(c == 0 for c in combo) and total < 0
 
 
-class _Row:
-    """A row during elimination, with multipliers over the original list.
-
-    Inequality-derived rows mean coeffs . x <= rhs and keep nonnegative
-    multipliers on inequality constraints; equality-derived rows mean
-    coeffs . x == rhs and may carry any multipliers on equality constraints.
-    """
-
-    __slots__ = ("coeffs", "rhs", "mult")
-
-    def __init__(self, coeffs, rhs, mult):
-        self.coeffs = coeffs
-        self.rhs = rhs
-        self.mult = mult
-
-    def minus(self, factor, other):
-        return _Row(
-            [a - factor * b for a, b in zip(self.coeffs, other.coeffs)],
-            self.rhs - factor * other.rhs,
-            [a - factor * b for a, b in zip(self.mult, other.mult)],
-        )
-
-
-def _split_rows(constraints: Sequence[LinearConstraint], num_vars: int):
-    n = len(constraints)
-    equalities, inequalities = [], []
-    for i, con in enumerate(constraints):
-        if len(con.coeffs) != num_vars:
-            raise LinalgError("constraint arity mismatch")
-        a, b = con.oriented()
-        mult = [Fraction(int(j == i)) for j in range(n)]
-        row = _Row(list(a), b, mult)
-        (equalities if con.rel == "==" else inequalities).append(row)
-    return equalities, inequalities
-
-
-def _gauss_substitute(equalities, inequalities, protect=()):
-    """Eliminate variables through the equality rows.
-
-    Returns (substitutions, residual equalities over protected variables,
-    reduced inequalities, infeasible_row).  Substitution rows are normalized
-    to coefficient 1 on their variable and reduced against earlier ones, so
-    applying them in order removes every eliminated variable.
-    """
-    substitutions: list[tuple[int, _Row]] = []
-    residual: list[_Row] = []
-    for row in equalities:
-        for var, sub in substitutions:
-            if row.coeffs[var] != 0:
-                row = row.minus(row.coeffs[var], sub)
-        var = next(
-            (
-                j
-                for j, c in enumerate(row.coeffs)
-                if c != 0 and j not in protect
-            ),
-            None,
-        )
-        if var is None:
-            if any(c != 0 for c in row.coeffs):
-                residual.append(row)
-            elif row.rhs != 0:
-                if row.rhs > 0:  # negate: purely equality-derived, signs are free
-                    row = _Row(
-                        [-c for c in row.coeffs],
-                        -row.rhs,
-                        [-m for m in row.mult],
-                    )
-                return substitutions, residual, [], row
-            continue
-        inv = Fraction(1) / row.coeffs[var]
-        row = _Row(
-            [c * inv for c in row.coeffs],
-            row.rhs * inv,
-            [m * inv for m in row.mult],
-        )
-        substitutions.append((var, row))
-    reduced = []
-    for row in inequalities:
-        for var, sub in substitutions:
-            if row.coeffs[var] != 0:
-                row = row.minus(row.coeffs[var], sub)
-        reduced.append(row)
-    return substitutions, residual, reduced, None
-
-
-def _fm_eliminate(rows: list[_Row], variables: Sequence[int]):
-    """Fourier-Motzkin elimination of the given variables, in order.
-
-    Returns (stages, final_rows, bad_row): stages pair each variable with the
-    row list it was eliminated from; bad_row is a constant row with negative
-    rhs when infeasibility is detected early, else None.
-    """
-    stages = []
-    for var in variables:
-        stages.append((var, rows))
-        keep: dict[tuple, _Row] = {}
-        bad = None
-
-        def push(row: _Row):
-            if all(c == 0 for c in row.coeffs):
-                return row if row.rhs < 0 else None
-            scale = Fraction(1) / abs(next(c for c in row.coeffs if c != 0))
-            key = tuple(c * scale for c in row.coeffs)
-            scaled = _Row(list(key), row.rhs * scale, [m * scale for m in row.mult])
-            old = keep.get(key)
-            if old is None or scaled.rhs < old.rhs:
-                keep[key] = scaled
-            return None
-
-        negatives = [r for r in rows if r.coeffs[var] < 0]
-        for r in rows:
-            if r.coeffs[var] == 0:
-                bad = push(r)
-                if bad:
-                    return stages, [], bad
-        for p in rows:
-            cp = p.coeffs[var]
-            if cp <= 0:
-                continue
-            for q in negatives:
-                cq = -q.coeffs[var]
-                coeffs = [a / cp + b / cq for a, b in zip(p.coeffs, q.coeffs)]
-                rhs = p.rhs / cp + q.rhs / cq
-                mult = [a / cp + b / cq for a, b in zip(p.mult, q.mult)]
-                bad = push(_Row(coeffs, rhs, mult))
-                if bad:
-                    return stages, [], bad
-        rows = list(keep.values())
-    return stages, rows, None
-
-
-def _evaluate_rest(row, var, values):
-    rest = Fraction(0)
-    for j, val in values.items():
-        if j != var and row.coeffs[j] != 0:
-            rest += row.coeffs[j] * val
-    return rest
-
-
-def _fm_back_substitute(stages, values: dict[int, Fraction]):
-    """Assign the FM-eliminated variables, newest stage first."""
-    for var, rows in reversed(stages):
-        lo = hi = None
-        for row in rows:
-            c = row.coeffs[var]
-            if c == 0:
-                continue
-            bound = (row.rhs - _evaluate_rest(row, var, values)) / c
-            if c > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
-        if lo is not None and hi is not None:
-            values[var] = (lo + hi) / 2
-        elif lo is not None:
-            values[var] = lo
-        elif hi is not None:
-            values[var] = hi
-        else:
-            values[var] = Fraction(0)
-    return values
-
-
-def _apply_substitutions(substitutions, values):
-    """Assign equality-eliminated variables, newest substitution first."""
-    for var, row in reversed(substitutions):
-        values[var] = row.rhs - _evaluate_rest(row, var, values)
-    return values
-
-
-def _fm_feasible(constraints, num_vars) -> LPResult:
-    equalities, inequalities = _split_rows(constraints, num_vars)
-    substitutions, residual, reduced, bad = _gauss_substitute(
-        equalities, inequalities
-    )
-    assert not residual  # nothing is protected here
-    if bad is not None:
-        return LPResult(False, None, tuple(bad.mult))
-    remaining = [v for v in range(num_vars) if v not in dict(substitutions)]
-    stages, final, bad = _fm_eliminate(reduced, remaining)
-    if bad is None:
-        bad = next((r for r in final if r.rhs < 0), None)
-    if bad is not None:
-        return LPResult(False, None, tuple(bad.mult))
-    values = _fm_back_substitute(stages, {})
-    _apply_substitutions(substitutions, values)
-    witness = tuple(values[j] for j in range(num_vars))
-    return LPResult(True, witness, None)
-
-
-# -- Bland-rule simplex ------------------------------------------------------
-
-
-def _doubled_rows(constraints: Sequence[LinearConstraint], num_vars: int):
-    """All constraints as <= rows (equalities doubled), with fold-back info."""
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    fold: list[tuple[int, int]] = []
-    for idx, con in enumerate(constraints):
-        if len(con.coeffs) != num_vars:
-            raise LinalgError("constraint arity mismatch")
-        a, b = con.oriented()
-        rows.append((a, b))
-        fold.append((idx, 1))
-        if con.rel == "==":
-            rows.append((tuple(-c for c in a), -b))
-            fold.append((idx, -1))
-    return rows, fold
-
-
-def _fold_certificate(mult, fold, n_constraints):
-    cert = [Fraction(0)] * n_constraints
-    for m, (idx, sign) in zip(mult, fold):
-        cert[idx] += sign * m
-    return tuple(cert)
+# -- Bland-rule simplex in standard form -------------------------------------
 
 
 class _Simplex:
-    """Exact primal simplex on split variables x = u - w with artificials.
+    """Exact two-phase simplex on A y = b, y >= 0, with Bland's rule.
 
-    Column layout: u (num_vars), w (num_vars), slacks (one per <= row),
-    artificials (one per row, initial basis).  Bland's rule prevents cycling.
+    The general system becomes standard form without doubling any row.  The
+    first inequality per variable whose oriented form is a_j x_j <= 0 (for
+    instance x_j >= 0) fixes the sign of that variable's single column and is
+    not a row; every other variable gets a + and a - column.  Each remaining
+    inequality gets a slack column.  Rows are negated where needed so that
+    b >= 0, and one artificial column per row forms the starting basis.
+    Column layout: structural, slacks, artificials, right-hand side.
     """
 
-    def __init__(self, raw_rows, num_vars):
+    def __init__(self, constraints: Sequence[LinearConstraint], num_vars: int):
         self.num_vars = num_vars
-        self.nrows = len(raw_rows)
-        self.slack_at = 2 * num_vars
-        self.art_at = self.slack_at + self.nrows
-        self.ncols = self.art_at + self.nrows
+        self.num_constraints = len(constraints)
+        self.bounds: dict[int, tuple[int, Fraction]] = {}  # var -> (index, a_j)
+        self.rows = []  # kept rows: (constraint index, a, b, is_inequality)
+        for i, con in enumerate(constraints):
+            if len(con.coeffs) != num_vars:
+                raise LinalgError("constraint arity mismatch")
+            a, b = con.oriented()
+            support = [j for j, c in enumerate(a) if c != 0]
+            inequality = con.rel != "=="
+            if inequality and b == 0 and len(support) == 1 and support[0] not in self.bounds:
+                self.bounds[support[0]] = (i, a[support[0]])
+            else:
+                self.rows.append((i, a, b, inequality))
+        self.columns: list[tuple[int, int]] = []  # (j, sign): x_j = sum sign * y
+        for j in range(num_vars):
+            if j in self.bounds:
+                self.columns.append((j, -1 if self.bounds[j][1] > 0 else 1))
+            else:
+                self.columns += [(j, 1), (j, -1)]
+        slack = len(self.columns)
+        self.art_at = slack + sum(1 for row in self.rows if row[3])
+        self.ncols = self.art_at + len(self.rows)
         self.sigma = []
         self.tableau = []
-        for i, (coeffs, rhs) in enumerate(raw_rows):
-            sigma = Fraction(-1 if rhs < 0 else 1)
+        for r, (_, a, b, inequality) in enumerate(self.rows):
+            sigma = -1 if b < 0 else 1
+            row = [sigma * s * a[j] for j, s in self.columns]
+            row += [Fraction(0)] * (self.ncols - len(self.columns)) + [sigma * b]
+            if inequality:
+                row[slack] = Fraction(sigma)
+                slack += 1
+            row[self.art_at + r] = Fraction(1)
             self.sigma.append(sigma)
-            row = [Fraction(0)] * (self.ncols + 1)
-            for j, c in enumerate(coeffs):
-                row[j] = sigma * c
-                row[num_vars + j] = -sigma * c
-            row[self.slack_at + i] = sigma
-            row[self.art_at + i] = Fraction(1)
-            row[-1] = sigma * rhs
             self.tableau.append(row)
-        self.basis = [self.art_at + i for i in range(self.nrows)]
+        self.basis = [self.art_at + r for r in range(len(self.rows))]
 
     def _pivot(self, r, c, obj):
         row = self.tableau[r]
@@ -579,78 +385,79 @@ class _Simplex:
             for i, row in enumerate(self.tableau):
                 coef = row[entering]
                 if coef > 0:
-                    ratio = row[-1] / coef
-                    key = (ratio, self.basis[i])
+                    key = (row[-1] / coef, self.basis[i])
                     if best is None or key < best[0]:
                         best = (key, i)
             if best is None:
                 return "unbounded"
             self._pivot(best[1], entering, obj)
 
-    def phase1(self):
-        obj = [Fraction(0)] * (self.ncols + 1)
-        for j in range(self.ncols + 1):
-            obj[j] = -sum(row[j] for row in self.tableau)
-        for i in range(self.nrows):
-            obj[self.art_at + i] += 1
-        status = self._bland(obj, range(self.ncols))
-        assert status == "optimal"  # phase-1 objective is bounded below by 0
+    def phase1(self) -> Fraction:
+        """Minimize the sum of the artificials and return that minimum.
+
+        The objective is bounded below by 0, so Bland's rule ends optimal.
+        """
+        obj = [
+            -sum((row[j] for row in self.tableau), Fraction(0))
+            for j in range(self.ncols + 1)
+        ]
+        for r in range(len(self.tableau)):
+            obj[self.art_at + r] = Fraction(0)
+        self._bland(obj, range(self.ncols))
         self.phase1_obj = obj
         return -obj[-1]
 
-    def infeasibility_multipliers(self):
-        # y_i = 1 - reduced cost of artificial i; mu = -y * sigma >= 0
-        mu = []
-        for i in range(self.nrows):
-            y = Fraction(1) - self.phase1_obj[self.art_at + i]
-            m = -y * self.sigma[i]
-            assert m >= 0
-            mu.append(m)
-        return mu
+    def certificate(self) -> tuple[Fraction, ...]:
+        """Farkas multipliers over the original constraints, after phase 1.
+
+        The dual of artificial r is y_r = 1 - its reduced cost.  Undoing the
+        row signs, u = sigma * y satisfies u.A_k <= 0 on every column and
+        u.b > 0.  Kept row i takes -u_i (>= 0 on inequalities, by the slack
+        columns) and the bound row a_j x_j <= 0 takes sum_i u_i a_ij / a_j,
+        which cancels x_j and is >= 0 by the sign of x_j's column.
+        """
+        u = [
+            s * (1 - self.phase1_obj[self.art_at + r]) for r, s in enumerate(self.sigma)
+        ]
+        cert = [Fraction(0)] * self.num_constraints
+        for u_r, (i, _, _, _) in zip(u, self.rows):
+            cert[i] = -u_r
+        for j, (i, a_j) in self.bounds.items():
+            column = (u_r * a[j] for u_r, (_, a, _, _) in zip(u, self.rows))
+            cert[i] = sum(column, Fraction(0)) / a_j
+        return tuple(cert)
 
     def drop_artificials(self):
-        for r in range(self.nrows):
-            if self.basis[r] < self.art_at:
-                continue
-            col = next(
-                (j for j in range(self.art_at) if self.tableau[r][j] != 0), None
-            )
-            if col is not None:
-                dummy = [Fraction(0)] * (self.ncols + 1)
-                self._pivot(r, col, dummy)
-        keep = [r for r in range(self.nrows) if self.basis[r] < self.art_at]
-        self.tableau = [self.tableau[r] for r in keep]
-        self.basis = [self.basis[r] for r in keep]
-        self.nrows = len(keep)
+        """Pivot the zero-level artificials left by phase 1 out of the basis.
 
-    def phase2(self, objective):
-        # minimize objective . x
-        costs = [Fraction(0)] * (self.ncols + 1)
-        for j, c in enumerate(objective):
-            costs[j] = Fraction(c)
-            costs[self.num_vars + j] = -Fraction(c)
-        obj = list(costs)
+        A row with no other nonzero entry is redundant: phase 2 enters only
+        non-artificial columns, so it never pivots on that row.
+        """
         for r, b in enumerate(self.basis):
+            if b < self.art_at:
+                continue
+            col = next((j for j in range(self.art_at) if self.tableau[r][j] != 0), None)
+            if col is not None:
+                self._pivot(r, col, [Fraction(0)] * (self.ncols + 1))
+
+    def phase2(self, objective) -> str:
+        """Minimize objective . x over the feasible set left by phase 1."""
+        costs = [s * objective[j] for j, s in self.columns]
+        costs += [Fraction(0)] * (self.ncols + 1 - len(costs))
+        obj = list(costs)
+        for row, b in zip(self.tableau, self.basis):
             if costs[b] != 0:
                 f = costs[b]
-                obj = [a - f * t for a, t in zip(obj, self.tableau[r])]
+                obj = [o - f * t for o, t in zip(obj, row)]
         return self._bland(obj, range(self.art_at))
 
-    def witness(self):
-        values = {b: self.tableau[r][-1] for r, b in enumerate(self.basis)}
-        return tuple(
-            values.get(j, Fraction(0)) - values.get(self.num_vars + j, Fraction(0))
-            for j in range(self.num_vars)
-        )
-
-
-def _simplex_feasible(constraints, num_vars) -> LPResult:
-    raw, fold = _doubled_rows(constraints, num_vars)
-    sx = _Simplex(raw, num_vars)
-    if sx.phase1() > 0:
-        mu = sx.infeasibility_multipliers()
-        return LPResult(False, None, _fold_certificate(mu, fold, len(constraints)))
-    return LPResult(True, sx.witness(), None)
+    def witness(self) -> tuple[Fraction, ...]:
+        x = [Fraction(0)] * self.num_vars
+        for row, b in zip(self.tableau, self.basis):
+            if b < len(self.columns):
+                j, sign = self.columns[b]
+                x[j] += sign * row[-1]
+        return tuple(x)
 
 
 def lp_feasible(
@@ -666,11 +473,10 @@ def lp_feasible(
         if not constraints:
             raise LinalgError("num_vars required for an empty system")
         num_vars = len(constraints[0].coeffs)
-    if not constraints:
-        return LPResult(True, tuple([Fraction(0)] * num_vars), None)
-    if num_vars <= FM_VARIABLE_LIMIT:
-        return _fm_feasible(constraints, num_vars)
-    return _simplex_feasible(constraints, num_vars)
+    sx = _Simplex(constraints, num_vars)
+    if sx.phase1() > 0:
+        return LPResult(False, None, sx.certificate())
+    return LPResult(True, sx.witness(), None)
 
 
 def lp_extremum(
@@ -683,93 +489,25 @@ def lp_extremum(
     Status is one of "infeasible", "unbounded", "optimal"; witness attains
     the optimum exactly when status is "optimal".
     """
-    constraints = list(constraints)
     objective = _frac_vector(objective)
-    num_vars = len(objective)
-    feas = lp_feasible(constraints, num_vars)
-    if not feas.feasible:
+    sx = _Simplex(list(constraints), len(objective))
+    if sx.phase1() > 0:
         return "infeasible", None, None
-    if num_vars <= FM_VARIABLE_LIMIT:
-        return _fm_extremum(constraints, objective, maximize)
-    sign = Fraction(-1 if maximize else 1)
-    raw, _ = _doubled_rows(constraints, num_vars)
-    sx = _Simplex(raw, num_vars)
-    sx.phase1()
     sx.drop_artificials()
-    status = sx.phase2([sign * c for c in objective])
-    if status == "unbounded":
+    if sx.phase2([-c if maximize else c for c in objective]) == "unbounded":
         return "unbounded", None, None
     witness = sx.witness()
     value = sum((c * x for c, x in zip(objective, witness)), Fraction(0))
     return "optimal", value, witness
 
 
-def _fm_extremum(constraints, objective, maximize):
-    num_vars = len(objective)
-    z = num_vars  # fresh variable pinned to the objective value
-    extended = [
-        LinearConstraint(list(con.coeffs) + [0], con.rel, con.rhs)
-        for con in constraints
-    ]
-    extended.append(
-        LinearConstraint([-c for c in objective] + [Fraction(1)], "==", 0)
-    )
-    equalities, inequalities = _split_rows(extended, num_vars + 1)
-    substitutions, residual, reduced, bad = _gauss_substitute(
-        equalities, inequalities, protect={z}
-    )
-    if bad is not None:
-        return "infeasible", None, None
-    remaining = [v for v in range(num_vars) if v not in dict(substitutions)]
-    stages, final, bad = _fm_eliminate(reduced, remaining)
-    if bad is not None:
-        return "infeasible", None, None
-    lo = hi = None
-    for row in final:
-        c = row.coeffs[z]
-        if c == 0:
-            if row.rhs < 0:
-                return "infeasible", None, None
-            continue
-        bound = row.rhs / c
-        if c > 0:
-            hi = bound if hi is None else min(hi, bound)
-        else:
-            lo = bound if lo is None else max(lo, bound)
-    for row in residual:  # equalities pinning z directly
-        c = row.coeffs[z]
-        if c == 0:
-            if row.rhs != 0:
-                return "infeasible", None, None
-            continue
-        pinned = row.rhs / c
-        lo = pinned if lo is None else max(lo, pinned)
-        hi = pinned if hi is None else min(hi, pinned)
-    if lo is not None and hi is not None and lo > hi:
-        return "infeasible", None, None
-    value = hi if maximize else lo
-    if value is None:
-        return "unbounded", None, None
-    values = _fm_back_substitute(stages, {z: value})
-    _apply_substitutions(substitutions, values)
-    witness = tuple(values[j] for j in range(num_vars))
-    return "optimal", value, witness
-
-
 # -- Implicit equalities and relative interior -------------------------------
 
 
-def _slack_extremum(constraints, index):
-    """Largest slack the feasible set allows on inequality `index`."""
-    con = constraints[index]
+def _slack(con: LinearConstraint, point: Sequence[Fraction]) -> Fraction:
+    """b - a.x for the constraint oriented as a.x <= b."""
     a, b = con.oriented()
-    # slack = b - a.x >= 0 on the feasible set; maximize it
-    status, value, _ = lp_extremum(constraints, [-c for c in a], True)
-    if status == "infeasible":
-        raise InfeasibleSystemError("constraint system is infeasible")
-    if status == "unbounded":
-        return None
-    return value + b
+    return b - sum((c * x for c, x in zip(a, point)), Fraction(0))
 
 
 def _tighten(con: LinearConstraint, margin: Fraction) -> LinearConstraint:
@@ -778,40 +516,52 @@ def _tighten(con: LinearConstraint, margin: Fraction) -> LinearConstraint:
     return LinearConstraint(con.coeffs, ">=", con.rhs + margin)
 
 
-def implicit_equalities(constraints: Sequence[LinearConstraint]) -> list[int]:
-    """Indices of the inequalities that hold with equality on every feasible point."""
-    constraints = list(constraints)
-    if not lp_feasible(constraints).feasible:
-        raise InfeasibleSystemError("constraint system is infeasible")
-    out = []
-    for i, con in enumerate(constraints):
-        if con.rel == "==":
-            continue
-        if _slack_extremum(constraints, i) == 0:
-            out.append(i)
-    return out
-
-
 def relative_interior_point(constraints: Sequence[LinearConstraint]) -> tuple[Fraction, ...]:
-    """A rational point strict on every inequality that is not an implicit equality."""
+    """A rational point strict on every inequality that is not an implicit equality.
+
+    Each inequality's slack is maximized once, unless an earlier maximizer is
+    already strict on it.  Every maximizer is feasible, and one with positive
+    slack is strict on its own row, so the average of those is strict on
+    every inequality that some feasible point makes strict.  An unbounded
+    slack is made strict by one feasibility test with its row tightened by 1.
+    """
     constraints = list(constraints)
-    base = lp_feasible(constraints)
-    if not base.feasible:
-        raise InfeasibleSystemError("constraint system is infeasible")
-    witnesses = []
+    strict_points: list[tuple[Fraction, ...]] = []
+    feasible_point = None
     for i, con in enumerate(constraints):
-        if con.rel == "==":
+        if con.rel == "==" or any(_slack(con, p) > 0 for p in strict_points):
             continue
-        best = _slack_extremum(constraints, i)
-        if best == 0:
-            continue  # implicit equality; tight everywhere by definition
-        margin = Fraction(1) if best is None else best / 2
-        tightened = constraints[:i] + [_tighten(con, margin)] + constraints[i + 1 :]
-        result = lp_feasible(tightened)
-        assert result.feasible
-        witnesses.append(result.witness)
-    if not witnesses:
-        return base.witness
-    n = len(witnesses[0])
-    k = Fraction(1, len(witnesses))
-    return tuple(sum((w[j] for w in witnesses), Fraction(0)) * k for j in range(n))
+        a, b = con.oriented()
+        status, value, witness = lp_extremum(constraints, [-c for c in a], True)
+        if status == "infeasible":
+            raise InfeasibleSystemError("constraint system is infeasible")
+        if status == "unbounded":
+            tightened = constraints[:i] + [_tighten(con, Fraction(1))] + constraints[i + 1 :]
+            strict_points.append(lp_feasible(tightened).witness)
+        elif value + b > 0:
+            strict_points.append(witness)
+        else:
+            feasible_point = witness  # an implicit equality: tight everywhere
+    if strict_points:
+        k = Fraction(1, len(strict_points))
+        return tuple(sum(coords, Fraction(0)) * k for coords in zip(*strict_points))
+    if feasible_point is None:  # no inequalities at all
+        result = lp_feasible(constraints)
+        if not result.feasible:
+            raise InfeasibleSystemError("constraint system is infeasible")
+        feasible_point = result.witness
+    return feasible_point
+
+
+def implicit_equalities(constraints: Sequence[LinearConstraint]) -> list[int]:
+    """Indices of the inequalities that hold with equality on every feasible point.
+
+    These are exactly the inequalities tight at a relative interior point.
+    """
+    constraints = list(constraints)
+    point = relative_interior_point(constraints)
+    return [
+        i
+        for i, con in enumerate(constraints)
+        if con.rel != "==" and _slack(con, point) == 0
+    ]

@@ -45,7 +45,11 @@ class RingSpec:
     inverted_primes: tuple[int, ...]
 
     def __init__(self, inverted_primes: Iterable[int]):
-        primes = tuple(sorted(set(int(p) for p in inverted_primes)))
+        inverted_primes = list(inverted_primes)
+        for p in inverted_primes:
+            if not isinstance(p, int):
+                raise ScalarError(f"inverted prime {p!r} is not an integer")
+        primes = tuple(sorted(set(inverted_primes)))
         if not primes:
             raise ScalarError("at least one inverted prime is required")
         for p in primes:
@@ -62,7 +66,7 @@ class RingSpec:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScalarError(f"invalid ring JSON: {exc}") from exc
-        if not isinstance(data, dict) or "inverted_primes" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("inverted_primes"), list):
             raise ScalarError('ring JSON must look like {"inverted_primes": [2]}')
         return cls(data["inverted_primes"])
 

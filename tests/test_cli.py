@@ -210,6 +210,19 @@ def test_error_codes(capsys):
     )
     assert code == 3
     assert report["error"]["code"] == "bad-ring"
+    for primes in ('["x"]', "[2.5]"):
+        code, report = run_cli(
+            capsys,
+            "hull-member",
+            "--ring",
+            '{"inverted_primes":%s}' % primes,
+            "--point",
+            "1",
+            "--set",
+            "0,3",
+        )
+        assert code == 3
+        assert report["error"]["code"] == "bad-ring"
     code, report = run_cli(
         capsys, "hull-member", "--point", "1,2", "--set", "0,3"
     )
@@ -230,6 +243,20 @@ def test_error_codes(capsys):
     )
     assert code == 3
     assert report["error"]["code"] == "bad-coefficients"
+    out_of_range = [
+        ["closure", "--set", "0,3", "--ring", DYADIC_RING, "--depth", "1",
+         "--rounds", "1", "--line-bound", "0"],
+        ["laws-check", "--samples=-1", "--seed", "4"],
+        ["laws-check", "--samples", "1", "--seed", "4", "--dim", "0"],
+        ["probe-convexity", "--set", "0,3", "--ring", DYADIC_RING,
+         "--samples=-1", "--seed", "1"],
+        ["iso-check", "--left", '[["0"],["1"]]', "--right", '[["0"],["3"]]',
+         "--ring", DYADIC_RING, "--samples=-1", "--seed", "2"],
+    ]
+    for argv in out_of_range:
+        code, report = run_cli(capsys, *argv)
+        assert code == 3
+        assert report["error"]["code"] == "bad-input"
 
 
 def test_every_report_states_its_principle(capsys):

@@ -158,8 +158,8 @@ def test_lp_barycentric_membership_system():
 
 
 def _simplex_size_system(shift):
-    # 10 variables forces the simplex path; simplex of coordinates summing
-    # to 1 intersected with x_0 >= shift
+    # a 10-variable system: the standard simplex of coordinates summing to 1
+    # intersected with x_0 >= shift
     cons = [LinearConstraint([1] * 10, "==", 1)]
     for i in range(10):
         unit = [F(int(j == i)) for j in range(10)]
@@ -217,7 +217,7 @@ def test_lp_extremum_paths():
         [LinearConstraint([1], ">=", 1), LinearConstraint([1], "<=", 0)], [1], True
     )
     assert status == "infeasible"
-    # simplex path optimization
+    # optimization over the 10-variable system
     big = _simplex_size_system(F(1, 2))
     status, value, witness = lp_extremum(big, [1] + [0] * 9, False)
     assert (status, value) == ("optimal", F(1, 2))
@@ -237,6 +237,16 @@ def test_implicit_equalities_examples():
         LinearConstraint([0, 1], ">=", 0),
     ]
     assert implicit_equalities(pinned) == []
+    # two equalities pin (0, 1), where the last inequality is tight; phase 1
+    # ends with an artificial still basic at level 0
+    pinned_tight = [
+        LinearConstraint([0, 1], ">=", 0),
+        LinearConstraint([-1, 1], "==", 1),
+        LinearConstraint([-2, 1], ">=", -1),
+        LinearConstraint([F(-1, 2), 1], "==", 1),
+        LinearConstraint([-1, -3], ">=", -3),
+    ]
+    assert implicit_equalities(pinned_tight) == [4]
     with pytest.raises(InfeasibleSystemError):
         implicit_equalities(
             [LinearConstraint([1], ">=", 1), LinearConstraint([1], "<=", 0)]
@@ -290,9 +300,19 @@ def _brute_force_feasible(cons, num_vars):
 def test_lp_agrees_with_vertex_enumeration():
     rng = random.Random(77)
     for _ in range(60):
-        num_vars = rng.randint(1, 3)
+        num_vars = rng.randint(1, 4)
         cons = []
         for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.4:
+                # unit rows c * x_j >= 0, sometimes twice for the same j: the
+                # first one per j signs x_j's column (c = -1 as x_j <= 0), and
+                # the rest stay rows
+                j = rng.randrange(num_vars)
+                for _ in range(rng.randint(1, 2)):
+                    c = rng.choice([F(1), F(2), F(1, 3), F(-1)])
+                    unit = [c * int(k == j) for k in range(num_vars)]
+                    cons.append(LinearConstraint(unit, ">=", 0))
+                continue
             coeffs = [F(rng.randint(-3, 3)) for _ in range(num_vars)]
             rel = rng.choice(["<=", ">=", "=="])
             cons.append(LinearConstraint(coeffs, rel, F(rng.randint(-4, 4))))
@@ -300,6 +320,12 @@ def test_lp_agrees_with_vertex_enumeration():
         assert res.feasible == _brute_force_feasible(cons, num_vars)
         if res.feasible:
             assert all(c.satisfied_by(res.witness) for c in cons)
+            objective = [F(rng.randint(-3, 3)) for _ in range(num_vars)]
+            status, value, optimum = lp_extremum(cons, objective, rng.random() < 0.5)
+            assert status in ("optimal", "unbounded")
+            if status == "optimal":
+                assert all(c.satisfied_by(optimum) for c in cons)
+                assert value == sum((a * x for a, x in zip(objective, optimum)), F(0))
         else:
             assert verify_farkas_certificate(cons, res.certificate)
 

@@ -40,6 +40,10 @@ def test_ring_spec_validation():
         RingSpec([4])
     with pytest.raises(ScalarError):
         RingSpec([1])
+    with pytest.raises(ScalarError):
+        RingSpec(["x"])
+    with pytest.raises(ScalarError):
+        RingSpec([2.5])
 
 
 def test_ring_spec_json_roundtrip():
