@@ -61,7 +61,8 @@ class AffineMap:
         n = self.dimension
         aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.matrix)]
         red, _, r = linalg.rref(aug)
-        assert r == n
+        if r != n:
+            raise AffineError("the linear part is singular; the map has no inverse")
         inv = [row[n:] for row in red]
         shift = [-sum(inv[i][j] * self.translation[j] for j in range(n)) for i in range(n)]
         return AffineMap(inv, shift)
@@ -116,7 +117,8 @@ def extend_to_basis(points: Sequence[Sequence], dimension: int) -> list[Point]:
         )
         if affine_independent(out + [candidate]):
             out.append(candidate)
-    assert len(out) == dimension + 1
+    if len(out) != dimension + 1:
+        raise AffineError(f"no affine basis of dimension {dimension} extends the points")
     return out
 
 
@@ -146,7 +148,8 @@ def map_from_correspondence(
         for i in range(n)
     ]
     red, _, rk = linalg.rref(aug)
-    assert rk == n
+    if rk != n:
+        raise AffineError("source difference vectors are dependent")
     a = [[red[c][n + r] for c in range(n)] for r in range(n)]
     b = [d[0][r] - sum(a[r][j] * s[0][j] for j in range(n)) for r in range(n)]
     return AffineMap(a, b)

@@ -266,8 +266,6 @@ def _cmd_synth_formula(opts) -> dict:
     coeffs = [_rational(c) for c in opts["coeffs"].split(",")]
     try:
         phi = formula.synth_phi(coeffs, ring)
-    except formula.SynthesisError as exc:
-        raise CliError("synthesis-failed", str(exc), exit_code=5) from exc
     except formula.FormulaError as exc:
         raise CliError("bad-coefficients", str(exc)) from exc
     return {

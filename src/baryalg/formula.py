@@ -4,29 +4,32 @@ For rational coefficients xi_0..xi_k summing to 1 and a coefficient ring,
 synth_phi builds a conjunction of bindings and three-variable relations
 u_a u_b (1/p) = u_c, with p the smallest inverted prime, such that for all
 points a_0..a_k, b: the formula is satisfiable with x_i = a_i, y = b
-exactly when b = sum(xi_i * a_i).
+exactly when b = sum(xi_i * a_i).  It does so over every Z[S^-1].
 
 Two-coefficient instances become a single chain of equally spaced points on
 the line through the two inputs: with xi_1 = u/v rescaled to u'/v' so that
 v' exceeds p, variable u_i sits at position i/v', inputs bind positions 0
 and v', the output binds position u', and the relations force the spacing.
-Longer instances split the index set by coefficient sign and recurse, the
-partial sums combining through one more two-point chain.
+The chain spans [bottom, top] with bottom = min(0, u') and
+top = max(v', u', bottom + 2p - 3), so it has top - bottom + 1 variables
+and top - bottom - 1 relations.  Longer instances split the index set by
+coefficient sign and recurse, the partial sums combining through one more
+two-point chain.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .hull import hull_member_Q, hull_member_T
 from .mode import Point, as_point
 from .scalar import (
     RingSpec,
     format_rational,
-    interval_member,
     parse_rational,
     smallest_inverted_prime,
 )
@@ -34,13 +37,6 @@ from .scalar import (
 
 class FormulaError(ValueError):
     pass
-
-
-class SynthesisError(FormulaError):
-    """Chain layout failed to reach a uniquely solvable square system."""
-
-
-MAX_RANGE_EXTENSIONS = 3
 
 
 @dataclass(frozen=True)
@@ -101,10 +97,7 @@ def _solve_equations(num_vars: int, equations, veclen: int):
     for row_in, rhs in equations:
         row = {c: Fraction(v) for c, v in row_in.items() if v != 0}
         rhs = tuple(Fraction(x) for x in rhs)
-        while True:
-            piv = next((c for c in sorted(row) if c in pivots), None)
-            if piv is None:
-                break
+        while (piv := next((c for c in sorted(row) if c in pivots), None)) is not None:
             f = row.pop(piv)
             prow, prhs = pivots[piv]
             for c, v in prow.items():
@@ -127,26 +120,28 @@ def _solve_equations(num_vars: int, equations, veclen: int):
     free = [v for v in range(num_vars) if v not in pivots]
     values: dict[int, tuple] = {v: zero for v in free}
     for col in reversed(order):
-        prow, prhs = pivots[col]
-        acc = list(prhs)
+        prow, acc = pivots[col]
         for c, v in prow.items():
-            if c == col:
-                continue
-            other = values[c]
-            for i in range(veclen):
-                acc[i] -= v * other[i]
-        values[col] = tuple(acc)
+            if c != col:
+                acc = tuple(a - v * o for a, o in zip(acc, values[c]))
+        values[col] = acc
     return values, free
 
 
-def _relation_equations(relations: Sequence[Relation]):
-    out = []
-    for rel in relations:
+def _equations(phi: ChainFormula, inputs: Sequence[tuple]):
+    """The system of phi with input j bound to the vector inputs[j].
+
+    One row u_var = inputs[j] per binding, then one homogeneous row
+    (1-q) u_left + q u_right - u_result = 0 per relation.
+    """
+    eqs = [({var: Fraction(1)}, inputs[j]) for var, j in phi.input_bindings]
+    zero = tuple(Fraction(0) for _ in inputs[0]) if inputs else ()
+    for rel in phi.relations:
         row: dict[int, Fraction] = {}
         for var, coef in ((rel.left, 1 - rel.param), (rel.right, rel.param), (rel.result, Fraction(-1))):
             row[var] = row.get(var, Fraction(0)) + coef
-        out.append((row, None))
-    return out
+        eqs.append((row, zero))
+    return eqs
 
 
 # ---------------------------------------------------------------------------
@@ -154,140 +149,86 @@ def _relation_equations(relations: Sequence[Relation]):
 # ---------------------------------------------------------------------------
 
 
-class _Alloc:
-    def __init__(self):
-        self.count = 0
-
-    def fresh(self) -> int:
-        v = self.count
-        self.count += 1
-        return v
-
-
-def _chain_layout(xi1: Fraction, p: int, ext: int):
-    u, v = xi1.numerator, xi1.denominator
-    c = 1
-    while c * v <= p:
-        c += 1
-    u_s, v_s = c * u, c * v
-    bottom = min(0, u_s)
-    top = max(v_s, u_s) + ext
-    return u_s, v_s, bottom, top
-
-
-def _build_chain(
-    xi1: Fraction,
-    p: int,
-    alloc: _Alloc,
-    relations: list[Relation],
-    in0: Optional[int],
-    in1: Optional[int],
-):
+def _build_chain(xi1: Fraction, p: int, alloc: Iterator[int], relations: list, in0, in1):
     """Lay out one equally spaced chain realizing y = (1-xi1) x0 + xi1 x1.
 
-    Forward relations step the chain upward; reversed relations are added
-    from the top index downward until the system in the unknowns is square.
-    If the square system is singular or unreachable, the range is extended
-    one position at a time, at most MAX_RANGE_EXTENSIONS times.
+    With the layout of the module docstring, the inputs (in0 and in1 when
+    given, else fresh variables) bind positions 0 and v'.  Forward relations
+    (i, i+p, i+1) run over i = bottom..top-p, then p-2 reversed relations
+    (j, j-p, j-1) over j = top..top-p+3.  Position i = (1 - i/v') x0 +
+    (i/v') x1 satisfies them, and nothing else does:
+
+    - The forward relations are the recurrence
+      u_{i+p} = p u_{i+1} - (p-1) u_i with characteristic polynomial
+      f(x) = x^p - p x + p - 1 = (x-1)^2 h(x).
+    - h has p-2 roots, simple, nonzero and different from 1, so the
+      solutions are the affine sequences plus p-2 geometric modes r^i.
+    - A reversed relation at j vanishes on affine sequences; on the mode
+      r^i it evaluates to r^(j-p) g(r)/p with g(x) = x^p f(1/x).
+    - g(r) != 0: if both r and 1/r were roots of f, then r + 1/r = 2, so
+      r = 1.
+    - The p-2 consecutive reversed relations therefore form a scaled
+      Vandermonde matrix on the modes, which is nonsingular, and the two
+      bindings then fix the affine part.
+
+    So the system is uniquely solvable exactly when the p-2 reversed
+    relations fit, that is when top - bottom >= 2p - 3: one span, and no
+    system to solve here.
     """
-    if xi1 == 0 or xi1 == 1:
-        raise FormulaError("chain coefficient must avoid 0 and 1")
+    c = p // xi1.denominator + 1
+    u_s, v_s = c * xi1.numerator, c * xi1.denominator
+    bottom = min(0, u_s)
+    top = max(v_s, u_s, bottom + 2 * p - 3)
+    bound = {0: in0, v_s: in1}
+    var_at = {
+        pos: next(alloc) if bound.get(pos) is None else bound[pos]
+        for pos in range(bottom, top + 1)
+    }
     param = Fraction(1, p)
-    failures = []
-    for ext in range(MAX_RANGE_EXTENSIONS + 1):
-        u_s, v_s, bottom, top = _chain_layout(xi1, p, ext)
-        npos = top - bottom + 1
-        unknowns = npos - 2
-        forward = [(i, i + p, i + 1) for i in range(bottom, top - p + 1)]
-        needed = unknowns - len(forward)
-        reversed_rels = []
-        j = top
-        while len(reversed_rels) < needed and j - p >= bottom:
-            reversed_rels.append((j, j - p, j - 1))
-            j -= 1
-        if len(reversed_rels) < needed:
-            failures.append(f"range [{bottom},{top}]: not enough relations")
-            continue
-        trial = _Alloc()
-        trial.count = alloc.count
-        var_at: dict[int, int] = {}
-        for pos in range(bottom, top + 1):
-            if pos == 0 and in0 is not None:
-                var_at[pos] = in0
-            elif pos == v_s and in1 is not None:
-                var_at[pos] = in1
-            else:
-                var_at[pos] = trial.fresh()
-        rels = [
-            Relation(var_at[a], var_at[b], param, var_at[r])
-            for a, b, r in forward + reversed_rels
-        ]
-        # unique solvability given the two bound positions, checked exactly
-        equations = [({var_at[0]: Fraction(1)}, (Fraction(1), Fraction(0))),
-                     ({var_at[v_s]: Fraction(1)}, (Fraction(0), Fraction(1)))]
-        equations += [(row, (Fraction(0), Fraction(0))) for row, _ in _relation_equations(rels)]
-        involved = sorted({var_at[pos] for pos in var_at})
-        remap = {v: i for i, v in enumerate(involved)}
-        local = [({remap[c]: f for c, f in row.items()}, rhs) for row, rhs in equations]
-        solved = _solve_equations(len(involved), local, 2)
-        if solved is None or solved[1]:
-            failures.append(f"range [{bottom},{top}]: singular system")
-            continue
-        values, _ = solved
-        out = values[remap[var_at[u_s]]]
-        assert out == (1 - xi1, xi1)
-        alloc.count = trial.count
-        relations.extend(rels)
-        node = SynthNode(
-            kind="chain",
-            coeffs=(1 - xi1, xi1),
-            scaled=(u_s, v_s),
-            span=(bottom, top),
-            position_vars=tuple(var_at[pos] for pos in range(bottom, top + 1)),
-        )
-        return var_at[0], var_at[v_s], var_at[u_s], node
-    raise SynthesisError(
-        f"no uniquely solvable chain for coefficient {xi1} with prime {p}: "
-        + "; ".join(failures)
+    forward = [(i, i + p, i + 1) for i in range(bottom, top - p + 1)]
+    backward = [(j, j - p, j - 1) for j in range(top, top - p + 2, -1)]
+    relations.extend(
+        Relation(var_at[a], var_at[b], param, var_at[r]) for a, b, r in forward + backward
     )
+    node = SynthNode(
+        kind="chain",
+        coeffs=(1 - xi1, xi1),
+        scaled=(u_s, v_s),
+        span=(bottom, top),
+        position_vars=tuple(var_at.values()),
+    )
+    return var_at[0], var_at[v_s], var_at[u_s], node
 
 
 def _build(pairs, p, alloc, relations, bindings):
-    """pairs: nonzero (input index, coefficient); returns (output var, node)."""
+    """pairs: nonzero (input index, coefficient) summing to 1; returns (output var, node)."""
     if len(pairs) == 1:
-        idx, coeff = pairs[0]
-        assert coeff == 1
-        var = alloc.fresh()
-        bindings.append((var, idx))
+        var = next(alloc)
+        bindings.append((var, pairs[0][0]))
         return var, SynthNode(kind="identity", coeffs=(Fraction(1),), variable=var)
     if len(pairs) == 2:
-        (i0, c0), (i1, c1) = pairs
+        (i0, _), (i1, c1) = pairs
         v0, v1, out, node = _build_chain(c1, p, alloc, relations, None, None)
-        bindings.append((v0, i0))
-        bindings.append((v1, i1))
+        bindings += [(v0, i0), (v1, i1)]
         return out, node
     negatives = [pair for pair in pairs if pair[1] < 0]
     group_a = negatives if negatives else [pairs[0]]
     group_b = [pair for pair in pairs if pair not in group_a]
     k0 = sum((c for _, c in group_a), Fraction(0))
     k1 = sum((c for _, c in group_b), Fraction(0))
-    out_a, node_a = _build(
-        [(i, c / k0) for i, c in group_a], p, alloc, relations, bindings
-    )
-    out_b, node_b = _build(
-        [(i, c / k1) for i, c in group_b], p, alloc, relations, bindings
-    )
+    out_a, node_a = _build([(i, c / k0) for i, c in group_a], p, alloc, relations, bindings)
+    out_b, node_b = _build([(i, c / k1) for i, c in group_b], p, alloc, relations, bindings)
     _, _, out, pair_node = _build_chain(k1, p, alloc, relations, out_a, out_b)
-    node = SynthNode(
-        kind="split",
-        coeffs=tuple(c for _, c in pairs),
-        children=(node_a, node_b, pair_node),
-    )
-    return out, node
+    coeffs = tuple(c for _, c in pairs)
+    return out, SynthNode(kind="split", coeffs=coeffs, children=(node_a, node_b, pair_node))
 
 
 def synth_phi(xi: Sequence, ring: RingSpec) -> ChainFormula:
-    """Existential chain formula whose models are exactly y = sum(xi_i x_i)."""
+    """Existential chain formula whose models are exactly y = sum(xi_i x_i).
+
+    Every relation parameter is 1/p for the ring's smallest inverted prime
+    p, which lies in the ring's open unit interval.
+    """
     coeffs = [Fraction(c) for c in xi]
     if not coeffs:
         raise FormulaError("need at least one coefficient")
@@ -295,36 +236,23 @@ def synth_phi(xi: Sequence, ring: RingSpec) -> ChainFormula:
         raise FormulaError("coefficients must sum to exactly 1")
     p = smallest_inverted_prime(ring)
     pairs = [(i, c) for i, c in enumerate(coeffs) if c != 0]
-    alloc = _Alloc()
+    alloc = itertools.count()
     relations: list[Relation] = []
     bindings: list[tuple[int, int]] = []
     out, node = _build(pairs, p, alloc, relations, bindings)
-    phi = ChainFormula(
+    return ChainFormula(
         arity=len(coeffs),
-        num_vars=alloc.count,
+        num_vars=next(alloc),  # the first index never allocated
         input_bindings=tuple(bindings),
         output_var=out,
         relations=tuple(relations),
         structure=node,
     )
-    assert all(interval_member(r.param, ring, True) for r in phi.relations)
-    return phi
 
 
 # ---------------------------------------------------------------------------
 # Verification and satisfaction
 # ---------------------------------------------------------------------------
-
-
-def _symbolic_rows(phi: ChainFormula):
-    k = phi.arity
-    eqs = []
-    for var, j in phi.input_bindings:
-        unit = tuple(Fraction(int(t == j)) for t in range(k))
-        eqs.append(({var: Fraction(1)}, unit))
-    zero = tuple([Fraction(0)] * k)
-    eqs += [(row, zero) for row, _ in _relation_equations(phi.relations)]
-    return eqs
 
 
 def verify_phi(phi: ChainFormula, xi: Sequence) -> bool:
@@ -337,18 +265,15 @@ def verify_phi(phi: ChainFormula, xi: Sequence) -> bool:
     coeffs = tuple(Fraction(c) for c in xi)
     if len(coeffs) != phi.arity:
         raise FormulaError("coefficient count does not match formula arity")
-    solved = _solve_equations(phi.num_vars, _symbolic_rows(phi), phi.arity)
-    if solved is None:
-        return False
-    values, free = solved
-    if free:
-        return False
-    return values[phi.output_var] == coeffs
+    solved = solved_coefficients(phi)
+    return solved is not None and solved[phi.output_var] == coeffs
 
 
 def solved_coefficients(phi: ChainFormula) -> Optional[dict[int, tuple[Fraction, ...]]]:
     """Each existential variable as an affine combination of the inputs."""
-    solved = _solve_equations(phi.num_vars, _symbolic_rows(phi), phi.arity)
+    k = phi.arity
+    units = [tuple(Fraction(int(t == j)) for t in range(k)) for j in range(k)]
+    solved = _solve_equations(phi.num_vars, _equations(phi, units), k)
     if solved is None or solved[1]:
         return None
     return solved[0]
@@ -370,15 +295,12 @@ def check_satisfaction(
     dim = len(target)
     if any(len(q) != dim for q in pts):
         raise FormulaError("inconsistent point dimensions")
-    eqs = [({var: Fraction(1)}, pts[j]) for var, j in phi.input_bindings]
-    zero = tuple([Fraction(0)] * dim)
-    eqs += [(row, zero) for row, _ in _relation_equations(phi.relations)]
+    eqs = _equations(phi, pts)
     eqs.append(({phi.output_var: Fraction(1)}, target))
     solved = _solve_equations(phi.num_vars, eqs, dim)
     if solved is None:
         return None
-    values, _ = solved
-    return {v: tuple(values[v]) for v in range(phi.num_vars)}
+    return {v: solved[0][v] for v in range(phi.num_vars)}
 
 
 def membership_in_convex(
@@ -469,12 +391,17 @@ def formula_to_json(phi: ChainFormula) -> str:
 
 
 def formula_from_json(text: str) -> ChainFormula:
+    """Parse formula JSON, checking every variable and input index.
+
+    arity must be at least 1, every variable index (bindings, relations,
+    output) must lie in [0, variables) and every input index in [0, arity).
+    """
     try:
         data = json.loads(text)
         structure = (
             _node_from_json(data["structure"]) if "structure" in data else None
         )
-        return ChainFormula(
+        phi = ChainFormula(
             arity=int(data["arity"]),
             num_vars=int(data["variables"]),
             input_bindings=tuple((int(v), int(j)) for v, j in data["inputs"]),
@@ -487,3 +414,15 @@ def formula_from_json(text: str) -> ChainFormula:
         )
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormulaError(f"invalid formula JSON: {exc}") from exc
+    if phi.arity < 1:
+        raise FormulaError(f"invalid formula JSON: arity {phi.arity} is below 1")
+    variables = [phi.output_var] + [var for var, _ in phi.input_bindings]
+    variables += [x for r in phi.relations for x in (r.left, r.right, r.result)]
+    for kind, indices, limit in (
+        ("variable", variables, phi.num_vars),
+        ("input", [j for _, j in phi.input_bindings], phi.arity),
+    ):
+        for index in indices:
+            if not 0 <= index < limit:
+                raise FormulaError(f"invalid formula JSON: {kind} {index} outside [0, {limit})")
+    return phi

@@ -72,6 +72,15 @@ def test_synth_formula_command(capsys):
     assert result["formula"]["output"] == 6
 
 
+def test_synth_formula_over_a_large_prime(capsys):
+    code, report = run_cli(
+        capsys, "synth-formula", "--ring", '{"inverted_primes":[11]}', "--coeffs=1/2,1/2"
+    )
+    assert code == 0
+    assert report["result"]["verified"] is True
+    assert report["result"]["formula"]["relations"][0][2] == "1/11"
+
+
 def test_verify_formula_roundtrip(capsys, tmp_path):
     code, report = run_cli(
         capsys, "synth-formula", "--ring", RING3, "--coeffs=-1/2,3/2"
@@ -257,6 +266,29 @@ def test_error_codes(capsys):
         code, report = run_cli(capsys, *argv)
         assert code == 3
         assert report["error"]["code"] == "bad-input"
+    midpoint = {
+        "arity": 2,
+        "variables": 3,
+        "inputs": [[0, 0], [1, 1]],
+        "output": 2,
+        "relations": [[0, 1, "1/2", 2]],
+    }
+    code, report = run_cli(
+        capsys, "verify-formula", "--formula", json.dumps(midpoint), "--coeffs=1/2,1/2"
+    )
+    assert code == 0 and report["result"]["valid"] is True
+    out_of_range_formulas = [
+        {"relations": [[0, 8, "1/2", 7]]},
+        {"output": 9},
+        {"inputs": [[0, 5], [1, 1]]},
+    ]
+    for change in out_of_range_formulas:
+        text = json.dumps({**midpoint, **change})
+        code, report = run_cli(
+            capsys, "verify-formula", "--formula", text, "--coeffs=1/2,1/2"
+        )
+        assert code == 3
+        assert report["error"]["code"] == "bad-json"
 
 
 def test_every_report_states_its_principle(capsys):

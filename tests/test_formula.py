@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -258,6 +259,18 @@ def test_formula_json_roundtrip():
     assert verify_phi(back, [F(-1, 2), F(3, 4), F(3, 4)])
     with pytest.raises(FormulaError):
         formula_from_json("{}")
+    data = json.loads(text)
+    out_of_range = [
+        {"arity": 0},
+        {"relations": [[0, 8, "1/2", 7]], "variables": 3},
+        {"output": 11},
+        {"output": -1},
+        {"inputs": [[0, 5], [4, 1]]},
+        {"inputs": [[0, 0], [400, 1]]},
+    ]
+    for change in out_of_range:
+        with pytest.raises(FormulaError):
+            formula_from_json(json.dumps({**data, **change}))
 
 
 def test_format_formula_text():
@@ -267,3 +280,53 @@ def test_format_formula_text():
     assert "x0 = u0 & x1 = u4" in text
     assert "u0 u3 1/3 = u1" in text
     assert text.endswith("y = u6)")
+
+
+def _chain_nodes(node):
+    if node.kind == "chain":
+        yield node
+    for child in node.children:
+        yield from _chain_nodes(child)
+
+
+def _large_prime_vectors():
+    rng = random.Random(31)
+    vectors = [[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)], [F(-1, 2), F(3, 2)]]
+    for _ in range(3):
+        vectors.append(_random_mixed_vector(rng, max_len=5, den_bound=12))
+    return vectors
+
+
+@pytest.mark.parametrize("p", [11, 13, 31])
+def test_large_prime_rings_synthesize(p):
+    # one span of width max(natural, 2p - 3) per chain, for any smallest prime
+    ring = RingSpec([p])
+    rng = random.Random(p)
+    for xi in _large_prime_vectors():
+        phi = synth_phi(xi, ring)
+        assert verify_phi(phi, xi)
+        assert all(r.param == F(1, p) for r in phi.relations)
+        for node in _chain_nodes(phi.structure):
+            u_s, v_s = node.scaled
+            natural = max(u_s, v_s) - min(0, u_s)
+            bottom, top = node.span
+            assert bottom == min(0, u_s)
+            assert top - bottom == max(natural, 2 * p - 3)
+            assert len(node.position_vars) == top - bottom + 1
+        points = [(F(rng.randint(-9, 9), rng.randint(1, 5)),) for _ in xi]
+        target = (sum((c * q[0] for c, q in zip(xi, points)), F(0)),)
+        assert check_satisfaction(phi, points, target) is not None
+        assert check_satisfaction(phi, points, (target[0] + F(1, 3),)) is None
+
+
+def test_synthesis_solves_no_system(monkeypatch):
+    import baryalg.formula as formula_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("synth_phi must not solve a system")
+
+    monkeypatch.setattr(formula_module, "_solve_equations", refuse)
+    for ring in (DYADIC, RING3, RingSpec([11]), RingSpec([31])):
+        for xi in _large_prime_vectors():
+            synth_phi(xi, ring)
+
