@@ -23,6 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .hull import hull_member_Q, hull_member_T
@@ -37,6 +38,13 @@ from .scalar import (
 
 class FormulaError(ValueError):
     pass
+
+
+#: Most variables (and, for parsed JSON, relations) a formula may have.  The
+#: solver's time and memory grow with formula size, and a chain has about as
+#: many variables as its scaled denominator; at this size verify_phi takes
+#: about a second over the dyadics.
+MAX_FORMULA_VARIABLES = 40_000
 
 
 @dataclass(frozen=True)
@@ -87,60 +95,108 @@ class ChainFormula:
 def _solve_equations(num_vars: int, equations, veclen: int):
     """Solve a sparse exact linear system whose unknowns are vectors.
 
-    equations: (dict variable -> coefficient, rhs vector) pairs.  Returns
-    (values, free_variables) or None when inconsistent; free variables are
-    assigned the zero vector.
+    equations: (dict variable -> int coefficient, int rhs vector) pairs, as
+    built by _equations.  Returns (values, free_variables) or None when
+    inconsistent; values maps every variable to a tuple of Fractions, and
+    free variables share one zero vector.
+
+    Gaussian elimination in row order: a row is reduced against the stored
+    pivot rows, smallest pivot column first, and what is left becomes the
+    pivot row of its smallest column.  The arithmetic is fraction-free
+    (Bareiss 1968): with pivot entry a and row entry f, g = gcd(a, f),
+    row := (a/g) row - (f/g) pivot_row, and after every step the row is
+    divided by the gcd of its coefficients and right-hand side (its
+    content), which keeps the integers small.  Every integer row is a
+    nonzero multiple of the row that elimination over Q would hold, so the
+    pivots, and the solution, are the same.  Back substitution keeps each
+    value as an integer vector over one denominator and turns it into
+    Fractions only at the end.
     """
-    zero = tuple([Fraction(0)] * veclen)
-    pivots: dict[int, tuple[dict, tuple]] = {}
+    pivots: dict[int, tuple[dict[int, int], tuple[int, ...]]] = {}
     order: list[int] = []
     for row_in, rhs in equations:
-        row = {c: Fraction(v) for c, v in row_in.items() if v != 0}
-        rhs = tuple(Fraction(x) for x in rhs)
-        while (piv := next((c for c in sorted(row) if c in pivots), None)) is not None:
+        row = {c: v for c, v in row_in.items() if v}
+        while True:
+            content = gcd(*row.values(), *rhs)
+            if content > 1:
+                row = {c: v // content for c, v in row.items()}
+                rhs = tuple([x // content for x in rhs])
+            piv = min((c for c in row if c in pivots), default=None)
+            if piv is None:
+                break
             f = row.pop(piv)
             prow, prhs = pivots[piv]
+            a = prow[piv]
+            g = gcd(a, f)
+            s, t = a // g, f // g
+            if s != 1:
+                row = {c: s * v for c, v in row.items()}
             for c, v in prow.items():
-                if c == piv:
-                    continue
-                nv = row.get(c, Fraction(0)) - f * v
-                if nv == 0:
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
-            rhs = tuple(a - f * b for a, b in zip(rhs, prhs))
+                if c != piv:
+                    nv = row.get(c, 0) - t * v
+                    if nv:
+                        row[c] = nv
+                    else:
+                        row.pop(c, None)
+            rhs = tuple([s * x - t * y for x, y in zip(rhs, prhs)])
         if not row:
-            if any(x != 0 for x in rhs):
+            if any(rhs):
                 return None
             continue
         col = min(row)
-        inv = Fraction(1) / row[col]
-        pivots[col] = ({c: v * inv for c, v in row.items()}, tuple(x * inv for x in rhs))
+        pivots[col] = (row, rhs)
         order.append(col)
     free = [v for v in range(num_vars) if v not in pivots]
-    values: dict[int, tuple] = {v: zero for v in free}
+    zero = (tuple([0] * veclen), 1)
+    scaled: dict[int, tuple[tuple[int, ...], int]] = {v: zero for v in free}
     for col in reversed(order):
-        prow, acc = pivots[col]
+        prow, prhs = pivots[col]
+        den = 1
+        for c in prow:
+            if c != col:
+                den = lcm(den, scaled[c][1])
+        acc = [den * x for x in prhs]
         for c, v in prow.items():
             if c != col:
-                acc = tuple(a - v * o for a, o in zip(acc, values[c]))
-        values[col] = acc
+                nums, d = scaled[c]
+                m = v * (den // d)
+                acc = [x - m * y for x, y in zip(acc, nums)]
+        den *= prow[col]
+        g = gcd(den, *acc)
+        scaled[col] = (tuple([x // g for x in acc]), den // g)
+    zero_fractions = tuple([Fraction(0)] * veclen)
+    values = {
+        v: zero_fractions if sv is zero else tuple([Fraction(n, sv[1]) for n in sv[0]])
+        for v, sv in scaled.items()
+    }
     return values, free
 
 
-def _equations(phi: ChainFormula, inputs: Sequence[tuple]):
-    """The system of phi with input j bound to the vector inputs[j].
+def _integer_row(vector) -> tuple[int, tuple[int, ...]]:
+    """(d, d * vector) with d the least common denominator of the entries."""
+    d = lcm(*(x.denominator for x in vector))
+    return d, tuple([x.numerator * (d // x.denominator) for x in vector])
 
-    One row u_var = inputs[j] per binding, then one homogeneous row
-    (1-q) u_left + q u_right - u_result = 0 per relation.
+
+def _equations(phi: ChainFormula, inputs: Sequence[tuple]):
+    """The system of phi with input j bound to the vector inputs[j], in integers.
+
+    One row d u_var = d inputs[j] per binding, d the least common
+    denominator of inputs[j]; then one homogeneous row
+    (b-a) u_left + a u_right - b u_result = 0 per relation with parameter
+    a/b, repeated variables merged and zero coefficients dropped.
     """
-    eqs = [({var: Fraction(1)}, inputs[j]) for var, j in phi.input_bindings]
-    zero = tuple(Fraction(0) for _ in inputs[0]) if inputs else ()
+    eqs = []
+    for var, j in phi.input_bindings:
+        d, rhs = _integer_row(inputs[j])
+        eqs.append(({var: d}, rhs))
+    zero = tuple([0] * len(inputs[0])) if inputs else ()
     for rel in phi.relations:
-        row: dict[int, Fraction] = {}
-        for var, coef in ((rel.left, 1 - rel.param), (rel.right, rel.param), (rel.result, Fraction(-1))):
-            row[var] = row.get(var, Fraction(0)) + coef
-        eqs.append((row, zero))
+        a, b = rel.param.numerator, rel.param.denominator
+        row = {rel.left: b - a}
+        row[rel.right] = row.get(rel.right, 0) + a
+        row[rel.result] = row.get(rel.result, 0) - b
+        eqs.append(({c: v for c, v in row.items() if v}, zero))
     return eqs
 
 
@@ -179,6 +235,11 @@ def _build_chain(xi1: Fraction, p: int, alloc: Iterator[int], relations: list, i
     u_s, v_s = c * xi1.numerator, c * xi1.denominator
     bottom = min(0, u_s)
     top = max(v_s, u_s, bottom + 2 * p - 3)
+    if top - bottom + 1 > MAX_FORMULA_VARIABLES:
+        raise FormulaError(
+            f"chain for coefficient {xi1} needs {top - bottom + 1} variables, "
+            f"more than {MAX_FORMULA_VARIABLES}"
+        )
     bound = {0: in0, v_s: in1}
     var_at = {
         pos: next(alloc) if bound.get(pos) is None else bound[pos]
@@ -227,7 +288,9 @@ def synth_phi(xi: Sequence, ring: RingSpec) -> ChainFormula:
     """Existential chain formula whose models are exactly y = sum(xi_i x_i).
 
     Every relation parameter is 1/p for the ring's smallest inverted prime
-    p, which lies in the ring's open unit interval.
+    p, which lies in the ring's open unit interval.  Raises FormulaError
+    before laying out a chain of more than MAX_FORMULA_VARIABLES variables,
+    and when the formula as a whole has more.
     """
     coeffs = [Fraction(c) for c in xi]
     if not coeffs:
@@ -240,9 +303,14 @@ def synth_phi(xi: Sequence, ring: RingSpec) -> ChainFormula:
     relations: list[Relation] = []
     bindings: list[tuple[int, int]] = []
     out, node = _build(pairs, p, alloc, relations, bindings)
+    num_vars = next(alloc)  # the first index never allocated
+    if num_vars > MAX_FORMULA_VARIABLES:
+        raise FormulaError(
+            f"formula needs {num_vars} variables, more than {MAX_FORMULA_VARIABLES}"
+        )
     return ChainFormula(
         arity=len(coeffs),
-        num_vars=next(alloc),  # the first index never allocated
+        num_vars=num_vars,
         input_bindings=tuple(bindings),
         output_var=out,
         relations=tuple(relations),
@@ -296,7 +364,8 @@ def check_satisfaction(
     if any(len(q) != dim for q in pts):
         raise FormulaError("inconsistent point dimensions")
     eqs = _equations(phi, pts)
-    eqs.append(({phi.output_var: Fraction(1)}, target))
+    d, rhs = _integer_row(target)
+    eqs.append(({phi.output_var: d}, rhs))
     solved = _solve_equations(phi.num_vars, eqs, dim)
     if solved is None:
         return None
@@ -391,9 +460,10 @@ def formula_to_json(phi: ChainFormula) -> str:
 
 
 def formula_from_json(text: str) -> ChainFormula:
-    """Parse formula JSON, checking every variable and input index.
+    """Parse formula JSON, checking its size and every variable and input index.
 
-    arity must be at least 1, every variable index (bindings, relations,
+    arity must be at least 1, neither variables nor the relation count may
+    exceed MAX_FORMULA_VARIABLES, every variable index (bindings, relations,
     output) must lie in [0, variables) and every input index in [0, arity).
     """
     try:
@@ -416,6 +486,11 @@ def formula_from_json(text: str) -> ChainFormula:
         raise FormulaError(f"invalid formula JSON: {exc}") from exc
     if phi.arity < 1:
         raise FormulaError(f"invalid formula JSON: arity {phi.arity} is below 1")
+    for kind, size in (("variables", phi.num_vars), ("relations", len(phi.relations))):
+        if size > MAX_FORMULA_VARIABLES:
+            raise FormulaError(
+                f"invalid formula JSON: {size} {kind}, more than {MAX_FORMULA_VARIABLES}"
+            )
     variables = [phi.output_var] + [var for var, _ in phi.input_bindings]
     variables += [x for r in phi.relations for x in (r.left, r.right, r.result)]
     for kind, indices, limit in (

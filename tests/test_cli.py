@@ -289,6 +289,16 @@ def test_error_codes(capsys):
         )
         assert code == 3
         assert report["error"]["code"] == "bad-json"
+    # one over MAX_FORMULA_VARIABLES = 40000, synthesized and parsed
+    code, report = run_cli(
+        capsys, "synth-formula", "--ring", DYADIC_RING, "--coeffs=39999/40000,1/40000"
+    )
+    assert code == 3
+    assert report["error"]["code"] == "bad-coefficients"
+    text = json.dumps({**midpoint, "variables": 40001})
+    code, report = run_cli(capsys, "verify-formula", "--formula", text, "--coeffs=1/2,1/2")
+    assert code == 3
+    assert report["error"]["code"] == "bad-json"
 
 
 def test_every_report_states_its_principle(capsys):

@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baryalg.formula import (
+    MAX_FORMULA_VARIABLES,
     ChainFormula,
     FormulaError,
     Relation,
+    _equations,
+    _solve_equations,
     check_satisfaction,
     format_formula,
     formula_from_json,
@@ -17,6 +21,7 @@ from baryalg.formula import (
     synth_phi,
     verify_phi,
 )
+from baryalg.linalg import solve_affine
 from baryalg.scalar import DYADIC, RingSpec, interval_member
 
 F = Fraction
@@ -330,3 +335,122 @@ def test_synthesis_solves_no_system(monkeypatch):
         for xi in _large_prime_vectors():
             synth_phi(xi, ring)
 
+
+
+def _three_term_vector(v, big_v):
+    # split chain of width v + 1, then a pair chain of width big_v + 1 whose
+    # ends are already bound: 1 + (v + 1) + (big_v - 1) variables over Z[1/2]
+    k1 = 1 - F(1, big_v)
+    return [F(1, big_v), k1 * (1 - F(1, v)), k1 * F(1, v)]
+
+
+def test_synthesis_respects_the_size_limit():
+    limit = MAX_FORMULA_VARIABLES
+    # one chain over positions 0..v' has v' + 1 variables
+    assert synth_phi([1 - F(1, limit - 1), F(1, limit - 1)], DYADIC).num_vars == limit
+    with pytest.raises(FormulaError):
+        synth_phi([1 - F(1, limit), F(1, limit)], DYADIC)
+    # every chain fits, but the three-term total is one over
+    half = limit // 2
+    assert synth_phi(_three_term_vector(half - 1, half), DYADIC).num_vars == limit
+    with pytest.raises(FormulaError):
+        synth_phi(_three_term_vector(half, half), DYADIC)
+
+
+def test_formula_json_respects_the_size_limit():
+    limit = MAX_FORMULA_VARIABLES
+    midpoint = {
+        "arity": 2,
+        "variables": 3,
+        "inputs": [[0, 0], [1, 1]],
+        "output": 2,
+        "relations": [[0, 1, "1/2", 2]],
+    }
+    assert formula_from_json(json.dumps({**midpoint, "variables": limit})).num_vars == limit
+    for change in (
+        {"variables": limit + 1},
+        {"relations": [[0, 1, "1/2", 2]] * (limit + 1)},
+    ):
+        with pytest.raises(FormulaError):
+            formula_from_json(json.dumps({**midpoint, **change}))
+
+
+@st.composite
+def _hand_formulas(draw):
+    """Small formulas with any parameter, repeated and unbound variables."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    arity = draw(st.integers(min_value=1, max_value=3))
+    var = st.integers(min_value=0, max_value=n - 1)
+    bindings = draw(
+        st.lists(st.tuples(var, st.integers(min_value=0, max_value=arity - 1)), max_size=arity + 1)
+    )
+    params = st.fractions(min_value=-2, max_value=3, max_denominator=9)
+    relations = draw(st.lists(st.builds(Relation, var, var, params, var), max_size=n + 1))
+    return ChainFormula(arity, n, tuple(bindings), draw(var), tuple(relations))
+
+
+def _dense_solutions(phi, inputs, dim, target=None):
+    """solve_affine per coordinate on the same system, written out densely."""
+    n = phi.num_vars
+    rows = [[F(0)] * n]  # a zero row keeps the matrix n columns wide
+    rhs = [(F(0),) * dim]
+    for var, j in phi.input_bindings:
+        row = [F(0)] * n
+        row[var] = F(1)
+        rows.append(row)
+        rhs.append(inputs[j])
+    for rel in phi.relations:
+        row = [F(0)] * n
+        row[rel.left] += 1 - rel.param
+        row[rel.right] += rel.param
+        row[rel.result] -= 1
+        rows.append(row)
+        rhs.append((F(0),) * dim)
+    if target is not None:
+        row = [F(0)] * n
+        row[phi.output_var] = F(1)
+        rows.append(row)
+        rhs.append(target)
+    return [solve_affine(rows, [b[t] for b in rhs]) for t in range(dim)]
+
+
+def _assert_solves(phi, values, inputs):
+    assert sorted(values) == list(range(phi.num_vars))
+    assert all(type(x) is Fraction for vec in values.values() for x in vec)
+    for var, j in phi.input_bindings:
+        assert values[var] == tuple(inputs[j])
+    for rel in phi.relations:
+        left, right = values[rel.left], values[rel.right]
+        combined = tuple((1 - rel.param) * a + rel.param * b for a, b in zip(left, right))
+        assert combined == values[rel.result]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hand_formulas(), st.data())
+def test_solver_agrees_with_dense_solve(phi, data):
+    k = phi.arity
+    units = [tuple(F(int(t == j)) for t in range(k)) for j in range(k)]
+    solved = _solve_equations(phi.num_vars, _equations(phi, units), k)
+    dense = _dense_solutions(phi, units, k)
+    assert (solved is not None) == all(d is not None for d in dense)
+    rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    dim = data.draw(st.integers(min_value=1, max_value=2))
+    points = [tuple(data.draw(st.lists(rational, min_size=dim, max_size=dim))) for _ in range(k)]
+    target = tuple(data.draw(st.lists(rational, min_size=dim, max_size=dim)))
+    if solved is not None:
+        values, free = solved
+        kernel = dense[0][1]
+        assert len(free) == len(kernel)
+        _assert_solves(phi, values, units)
+        if not kernel:
+            assert all(values[v][t] == dense[t][0][v] for t in range(k) for v in values)
+        if data.draw(st.booleans()):
+            # the particular solution's output is a target the formula meets
+            coeffs = values[phi.output_var]
+            target = tuple(sum((c * q[i] for c, q in zip(coeffs, points)), F(0)) for i in range(dim))
+    witness = check_satisfaction(phi, points, target)
+    dense = _dense_solutions(phi, points, dim, target)
+    assert (witness is not None) == all(d is not None for d in dense)
+    if witness is not None:
+        _assert_solves(phi, witness, points)
+        assert witness[phi.output_var] == target
