@@ -5,14 +5,17 @@ invertible map x -> Ax + b carries one onto the other; because such maps
 preserve convex combinations in both directions, this is decided on vertex
 sets: fix an affinely independent tuple of vertices on the left, enumerate
 independent ordered tuples on the right, and accept the induced map iff it
-bijects the vertex sets.  The same witness, restricted to the polytope, is
-an isomorphism of the associated barycentric algebras for any coefficient
-ring, which the decision procedure additionally spot-checks.
+bijects the vertex sets.  The search is pruned by an exact invariant (after
+Bremner, Dutour Sikirić, Pasechnik, Rehn and Schürmann, "Computing symmetry
+groups of polyhedra", 2014): the projection G onto the row space of the
+centred vertex matrix, which every invertible affine map preserves up to
+the vertex bijection it induces.  The same witness, restricted to the
+polytope, is an isomorphism of the associated barycentric algebras for any
+coefficient ring, which the decision procedure additionally spot-checks.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,39 +165,43 @@ class EquivalenceVerdict:
     reason: str
 
 
-def _barycentric_signature(tuple_pts: list[Point], vertices: Sequence[Point]):
-    """Per-coordinate counts of vertex barycentric signs against a tuple.
+def _gram(vertices: Sequence[Point]) -> list[list[Fraction]]:
+    """The m x m projection G = B^T (B B^T)^-1 B onto the row space of the
+    centred vertex matrix D (n x m, one column per vertex; B is a row basis
+    of D).
 
-    Affine maps preserve barycentric coordinates, so matching signatures is
-    necessary for a tuple to correspond under any witness.
+    G is rational and does not depend on the choice of B.  An invertible
+    affine map sends D to A D, which has the same row space, so a vertex
+    bijection induced by such a map carries G_ij to G_{s(i) s(j)}.
     """
-    k = len(tuple_pts) - 1
-    dim = len(tuple_pts[0])
-    rows = [[tuple_pts[j][coord] for j in range(k + 1)] for coord in range(dim)]
-    rows.append([Fraction(1)] * (k + 1))
-    signature = []
-    for vert in vertices:
-        solved = linalg.solve_affine(rows, list(vert) + [Fraction(1)])
-        if solved is None:
-            return None  # vertex outside the span; cannot happen for spanning tuples
-        coords = solved[0]
-        signature.append(tuple((c > 0) - (c < 0) for c in coords))
-    counts = []
-    for j in range(k + 1):
-        neg = sum(1 for s in signature if s[j] < 0)
-        zero = sum(1 for s in signature if s[j] == 0)
-        pos = sum(1 for s in signature if s[j] > 0)
-        counts.append((neg, zero, pos))
-    return tuple(counts)
+    m, n = len(vertices), len(vertices[0])
+    centroid = [sum((v[r] for v in vertices), Fraction(0)) / m for r in range(n)]
+    centred = [[v[r] - centroid[r] for v in vertices] for r in range(n)]
+    red, _, rk = linalg.rref(centred)
+    basis = red[:rk]
+    # Row-reducing [B B^T | B] leaves (B B^T)^-1 B in the right block.
+    aug = [
+        [sum((x * y for x, y in zip(bi, bj)), Fraction(0)) for bj in basis] + bi
+        for bi in basis
+    ]
+    solved = [row[rk:] for row in linalg.rref(aug)[0]]
+    return [
+        [sum((basis[k][i] * solved[k][j] for k in range(rk)), Fraction(0)) for j in range(m)]
+        for i in range(m)
+    ]
 
 
 def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
     """Decide whether an invertible affine map carries left onto right.
 
-    Equal affine dimension and equal vertex counts are necessary; a witness
-    is then searched by anchoring one independent vertex tuple on the left
-    and enumerating ordered independent tuples on the right, in lexicographic
-    order so the first witness is reproducible.
+    Equal affine dimension, equal vertex counts and equal multisets of
+    sorted rows of the invariant G (`_gram`) are necessary.  A witness is
+    then searched by anchoring one independent vertex tuple on the left and
+    enumerating ordered independent tuples on the right, in lexicographic
+    order so the first witness is reproducible.  Only tuples whose sorted G
+    rows and mutual G entries match the anchor's are built; the others
+    cannot be the image of the anchor under any affine map, so the first
+    witness is the one an exhaustive enumeration finds.
     """
     if left.dimension != right.dimension:
         raise AffineError("polytopes live in different ambient dimensions")
@@ -204,16 +211,30 @@ def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
     lv, rv = list(left.vertices), list(right.vertices)
     if len(lv) != len(rv):
         return EquivalenceVerdict(False, None, "vertex-count-mismatch")
+    lg, rg = _gram(lv), _gram(rv)
+    l_rows = [sorted(row) for row in lg]
+    r_rows = [sorted(row) for row in rg]
+    if sorted(l_rows) != sorted(r_rows):
+        return EquivalenceVerdict(False, None, "exhausted-correspondences")
     anchor_idx = max_independent_subset(lv)
     anchor = [lv[i] for i in anchor_idx]
-    k = len(anchor) - 1
-    anchor_sig = _barycentric_signature(anchor, lv)
     src_basis = extend_to_basis(anchor, n)
-    for perm in itertools.permutations(range(len(rv)), k + 1):
+
+    def images(chosen: list[int]):
+        # Depth-first in increasing index order: lexicographic over tuples.
+        if len(chosen) == len(anchor_idx):
+            yield chosen
+            return
+        a = anchor_idx[len(chosen)]
+        for j in range(len(rv)):
+            if j not in chosen and r_rows[j] == l_rows[a] and all(
+                rg[j][c] == lg[a][b] for b, c in zip(anchor_idx, chosen)
+            ):
+                yield from images(chosen + [j])
+
+    for perm in images([]):
         candidate = [rv[i] for i in perm]
         if not affine_independent(candidate):
-            continue
-        if _barycentric_signature(candidate, rv) != anchor_sig:
             continue
         dst_basis = extend_to_basis(candidate, n)
         witness = map_from_correspondence(src_basis, dst_basis)

@@ -1,11 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from baryalg import affine as affine_module
+from baryalg import linalg
 from baryalg.affine import (
     AffineError,
     AffineMap,
+    _gram,
     affine_equivalence,
     affine_independent,
     extend_to_basis,
@@ -197,6 +201,121 @@ def test_affine_equivalence_roundtrip_random():
         assert verdict.equivalent
         witness = verdict.witness
         assert {witness.apply(v) for v in left.vertices} == set(right.vertices)
+
+
+def _reference_equivalence(left, right):
+    """The unpruned search: every ordered tuple of distinct right-hand
+    vertices, in lexicographic order, tried against the anchor."""
+    n = left.dimension
+    if left.affine_dimension != right.affine_dimension:
+        return False, "dimension-mismatch", None
+    lv, rv = list(left.vertices), list(right.vertices)
+    if len(lv) != len(rv):
+        return False, "vertex-count-mismatch", None
+    anchor = [lv[i] for i in max_independent_subset(lv)]
+    src_basis = extend_to_basis(anchor, n)
+    for perm in itertools.permutations(range(len(rv)), len(anchor)):
+        candidate = [rv[i] for i in perm]
+        if not affine_independent(candidate):
+            continue
+        witness = map_from_correspondence(src_basis, extend_to_basis(candidate, n))
+        if witness is not None and {witness.apply(v) for v in lv} == set(rv):
+            return True, "witness-found", witness
+    return False, "exhausted-correspondences", None
+
+
+def _random_generators(rng, n):
+    """2-6 integer points in R^n; about a third lie in a lower-dimensional
+    flat, and some repeat a generator."""
+    count = rng.randint(2, 6)
+    if n > 1 and rng.random() < 1 / 3:
+        low = rng.randint(1, n - 1)
+        flat = [
+            tuple(F(rng.randint(-4, 4)) for _ in range(low)) + (F(0),) * (n - low)
+            for _ in range(count)
+        ]
+        psi = _random_invertible_map(rng, n)
+        gens = [psi.apply(p) for p in flat]
+    else:
+        gens = [tuple(F(rng.randint(-4, 4)) for _ in range(n)) for _ in range(count)]
+    if rng.random() < 0.2:
+        gens.append(rng.choice(gens))
+    return gens
+
+
+def test_affine_equivalence_matches_unpruned_search():
+    rng = random.Random(53)
+    pairs = [(pts, pts) for pts in (UNIT_SQUARE, HEXAGON, PARALLELOGRAM)]
+    for case in range(300):
+        n = rng.randint(1, 3)
+        left = _random_generators(rng, n)
+        right = list(left)
+        if case % 2:  # move one generator: mostly same counts, not equivalent
+            k = rng.randrange(len(right))
+            right[k] = tuple(c + rng.choice((-1, 1)) for c in right[k])
+        psi = _random_invertible_map(rng, n)
+        right = [psi.apply(p) for p in right]
+        rng.shuffle(right)
+        pairs.append((left, right))
+    for left, right in pairs:
+        verdict = affine_equivalence(VPolytope(left), VPolytope(right))
+        equivalent, reason, witness = _reference_equivalence(VPolytope(left), VPolytope(right))
+        assert (verdict.equivalent, verdict.reason) == (equivalent, reason)
+        assert verdict.witness == witness
+
+
+def test_parabola_pairs_are_decided_without_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the decision should need no solve_affine call")
+
+    built = []
+    original = affine_module.map_from_correspondence
+
+    def counting(src, dst):
+        built.append(dst)
+        return original(src, dst)
+
+    monkeypatch.setattr(linalg, "solve_affine", no_solve)
+    monkeypatch.setattr(affine_module, "map_from_correspondence", counting)
+    parabola = VPolytope([(F(t), F(t * t)) for t in range(16)])
+    shifted = VPolytope([(F(t), F(t * t)) for t in [*range(15), 16]])
+    image = VPolytope([(F(2 * t + 1), F(t * t - t)) for t in range(16)])
+    verdict = affine_equivalence(parabola, shifted)
+    assert verdict.reason == "exhausted-correspondences"
+    assert len(built) == 0
+    verdict = affine_equivalence(parabola, image)
+    assert verdict.equivalent
+    assert {verdict.witness.apply(v) for v in parabola.vertices} == set(image.vertices)
+    assert len(built) == 1
+
+
+def test_gram_invariant():
+    rng = random.Random(67)
+    shapes = [
+        _pts((0,), (3,)),
+        _pts((1, 1), (3, 2)),  # a segment in the plane
+        UNIT_SQUARE,
+        HEXAGON,
+        _pts((0, 0, 0), (1, 0, 0), (0, 1, 0)),  # a triangle in R^3
+        _pts((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)),  # a square in R^3
+        _pts((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
+    ]
+    for pts in shapes:
+        m = len(pts)
+        g = _gram(pts)
+        assert all(g[i][j] == g[j][i] for i in range(m) for j in range(m))
+        assert linalg.mat_mul(g, g) == g
+        assert all(sum(row) == 0 for row in g)
+        assert sum(g[i][i] for i in range(m)) == VPolytope(pts).affine_dimension
+        for _ in range(5):
+            psi = _random_invertible_map(rng, len(pts[0]))
+            order = list(range(m))
+            rng.shuffle(order)
+            h = _gram([psi.apply(pts[k]) for k in order])
+            assert all(h[i][j] == g[order[i]][order[j]] for i in range(m) for j in range(m))
+    trapezoid = _pts((0, 0), (3, 0), (2, 1), (1, 1))
+    square_rows = sorted(sorted(row) for row in _gram(UNIT_SQUARE))
+    assert square_rows != sorted(sorted(row) for row in _gram(trapezoid))
 
 
 def test_iso_decide_segments():
