@@ -238,8 +238,6 @@ def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
             continue
         dst_basis = extend_to_basis(candidate, n)
         witness = map_from_correspondence(src_basis, dst_basis)
-        if witness is None:
-            continue
         image = {witness.apply(vert) for vert in lv}
         if image == set(rv):
             return EquivalenceVerdict(True, witness, "witness-found")

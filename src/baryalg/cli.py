@@ -444,9 +444,9 @@ def run(config: JobConfig) -> Report:
     try:
         result = handler(config.options)
     except (hull.HullError, mode.ModeError, affine.AffineError, LinalgError) as exc:
-        if "dimension" in str(exc):
-            raise CliError("dimension-mismatch", str(exc), exit_code=4) from exc
         raise CliError("bad-input", str(exc)) from exc
+    except RecursionError as exc:
+        raise CliError("bad-input", "input is nested too deeply") from exc
     parameters = {
         k: v for k, v in sorted(config.options.items()) if v is not None
     }

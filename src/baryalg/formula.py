@@ -31,6 +31,7 @@ from .mode import Point, as_point
 from .scalar import (
     RingSpec,
     format_rational,
+    integer_row,
     parse_rational,
     smallest_inverted_prime,
 )
@@ -172,12 +173,6 @@ def _solve_equations(num_vars: int, equations, veclen: int):
     return values, free
 
 
-def _integer_row(vector) -> tuple[int, tuple[int, ...]]:
-    """(d, d * vector) with d the least common denominator of the entries."""
-    d = lcm(*(x.denominator for x in vector))
-    return d, tuple([x.numerator * (d // x.denominator) for x in vector])
-
-
 def _equations(phi: ChainFormula, inputs: Sequence[tuple]):
     """The system of phi with input j bound to the vector inputs[j], in integers.
 
@@ -188,7 +183,7 @@ def _equations(phi: ChainFormula, inputs: Sequence[tuple]):
     """
     eqs = []
     for var, j in phi.input_bindings:
-        d, rhs = _integer_row(inputs[j])
+        d, rhs = integer_row(inputs[j])
         eqs.append(({var: d}, rhs))
     zero = tuple([0] * len(inputs[0])) if inputs else ()
     for rel in phi.relations:
@@ -364,7 +359,7 @@ def check_satisfaction(
     if any(len(q) != dim for q in pts):
         raise FormulaError("inconsistent point dimensions")
     eqs = _equations(phi, pts)
-    d, rhs = _integer_row(target)
+    d, rhs = integer_row(target)
     eqs.append(({phi.output_var: d}, rhs))
     solved = _solve_equations(phi.num_vars, eqs, dim)
     if solved is None:

@@ -24,6 +24,7 @@ from .linalg import LinearConstraint
 from .mode import Node, Leaf, Point, as_point, bary_op, eval_term
 from .scalar import (
     RingSpec,
+    integer_row,
     ring_contains,
     s_free_part,
     smallest_inverted_prime,
@@ -156,14 +157,9 @@ def membership_report_T(
     # and decide solvability over Z[S^-1] by Smith normal form: each nonzero
     # invariant factor must divide its transformed right-hand side up to
     # inverted primes, and zero rows must have zero right-hand side.
-    int_rows: list[list[int]] = []
-    int_rhs: list[int] = []
-    for row, b in zip(eq_rows, eq_rhs):
-        lcm = 1
-        for c in row + [b]:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        int_rows.append([int(c * lcm) for c in row])
-        int_rhs.append(int(b * lcm))
+    scaled = [integer_row(row + [b])[1] for row, b in zip(eq_rows, eq_rhs)]
+    int_rows = [row[:-1] for row in scaled]
+    int_rhs = [row[-1] for row in scaled]
     u, dmat, v = linalg.smith_normal_form(int_rows)
     c_vec = [
         sum(u[i][j] * int_rhs[j] for j in range(len(int_rhs)))
@@ -188,19 +184,14 @@ def membership_report_T(
     # Ring points are dense on the affine hull, and the polytope has interior
     # there, so a witness exists: walk from the known ring point toward a
     # relative interior point along integer kernel directions, rounding the
-    # steps to denominators p^k until all inequalities hold.
-    int_kernel = []
-    for vec in kernel:
-        lcm = 1
-        for c in vec:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        int_kernel.append([Fraction(int(c * lcm)) for c in vec])
-    columns = [[int_kernel[j][i] for j in range(len(int_kernel))] for i in range(m)]
-    delta = [interior[i] - ring_point[i] for i in range(m)]
-    alpha_solution = linalg.solve_affine(columns, delta)
-    if alpha_solution is None:
-        raise HullError("relative interior point is off the affine hull")
-    alpha = alpha_solution[0]
+    # steps to denominators p^k until all inequalities hold.  The step along
+    # each direction is read off at its free column, where no other
+    # direction is nonzero (see linalg.solve_affine).
+    int_kernel = [integer_row(vec)[1] for vec in kernel]
+    alpha = []
+    for direction in int_kernel:
+        free = max(i for i, c in enumerate(direction) if c != 0)
+        alpha.append((interior[free] - ring_point[free]) / direction[free])
     p = smallest_inverted_prime(ring)
     den = 1
     for _ in range(200):
@@ -227,9 +218,10 @@ def hull_member_T(
 def caratheodory(d: Sequence, points: Sequence[Sequence]) -> tuple[list[int], list[Fraction]]:
     """Affinely independent positive recombination of a hull member.
 
-    Starting from any rational combination, affine dependencies of the
-    support are removed one at a time by shifting along the dependency until
-    a coefficient reaches zero.  The result uses at most dim+1 points.
+    The rational witness is a basic solution of the membership system (see
+    linalg.lp_feasible), so the columns (p_i, 1) of its support are linearly
+    independent: the support points are affinely independent, at most
+    dim+1 of them, and are returned as they are.
     """
     pts = _check_points(points)
     d_pt = as_point(d)
@@ -238,32 +230,7 @@ def caratheodory(d: Sequence, points: Sequence[Sequence]) -> tuple[list[int], li
     combo = hull_member_Q(d, pts)
     if combo is None:
         raise HullError("point is not a member of the rational hull")
-    indices = [i for i, _ in combo.support]
-    coeffs = [c for _, c in combo.support]
-    while True:
-        support = [pts[i] for i in indices]
-        if len(support) <= 1:
-            break
-        # affine dependency: sum(c_i * a_i) = 0 with sum(c_i) = 0, c != 0
-        dim = len(support[0])
-        rows = [[support[j][coord] for j in range(len(support))] for coord in range(dim)]
-        rows.append([Fraction(1)] * len(support))
-        solved = linalg.solve_affine(rows, [Fraction(0)] * (dim + 1))
-        if solved is None:
-            raise HullError("homogeneous dependency system has no solution")
-        _, kernel = solved
-        if not kernel:
-            break
-        dep = kernel[0]
-        if all(c <= 0 for c in dep):
-            dep = [-c for c in dep]
-        # largest step keeping all coefficients nonnegative; hits a zero
-        step = min(coeffs[j] / dep[j] for j in range(len(dep)) if dep[j] > 0)
-        coeffs = [c - step * g for c, g in zip(coeffs, dep)]
-        keep = [j for j, c in enumerate(coeffs) if c != 0]
-        indices = [indices[j] for j in keep]
-        coeffs = [coeffs[j] for j in keep]
-    return indices, coeffs
+    return [i for i, _ in combo.support], [c for _, c in combo.support]
 
 
 # ---------------------------------------------------------------------------

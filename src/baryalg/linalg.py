@@ -37,10 +37,6 @@ def _frac_vector(vec: Sequence) -> QVector:
     return [Fraction(x) for x in vec]
 
 
-def identity_matrix(n: int) -> QMatrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> QMatrix:
     a, b = _frac_matrix(a), _frac_matrix(b)
     if a and b and len(a[0]) != len(b):
@@ -118,6 +114,10 @@ def solve_affine(
 
     Returns (particular solution, kernel basis), or None when the system is
     inconsistent.  Free variables are set to zero in the particular solution.
+    There is one kernel vector per free (non-pivot) column, in column order:
+    it is 1 at its own free column, which is its last nonzero entry, and 0
+    at every other free column.  So a kernel element's coordinates at the
+    free columns are its coefficients in this basis.
     """
     m = _frac_matrix(matrix)
     b = _frac_vector(rhs)
@@ -467,6 +467,11 @@ def lp_feasible(
 
     Feasible systems yield an exact rational witness; infeasible ones yield a
     Farkas certificate checkable by verify_farkas_certificate.
+
+    The witness is the basic solution at which phase 1 stops.  Its nonzero
+    variables have basic columns, so their columns are linearly independent
+    in the rows that are not sign bounds: for equalities plus x >= 0, in the
+    equality rows.  hull.caratheodory relies on this.
     """
     constraints = list(constraints)
     if num_vars is None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import lcm
+from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -105,6 +106,12 @@ def interval_member(q: Rational, ring: RingSpec, open_interval: bool) -> bool:
     if open_interval:
         return 0 < q < 1
     return 0 <= q <= 1
+
+
+def integer_row(vector: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
+    """(d, d * vector) with d the least common denominator of the entries."""
+    d = lcm(*(x.denominator for x in vector))
+    return d, tuple([x.numerator * (d // x.denominator) for x in vector])
 
 
 def smallest_inverted_prime(ring: RingSpec) -> int:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from baryalg import affine
 from baryalg.cli import main
 
 DYADIC_RING = '{"inverted_primes":[2]}'
@@ -299,6 +300,36 @@ def test_error_codes(capsys):
     code, report = run_cli(capsys, "verify-formula", "--formula", text, "--coeffs=1/2,1/2")
     assert code == 3
     assert report["error"]["code"] == "bad-json"
+    # input nested deeper than the parsers can recurse
+    deep = "[" * 5000 + "]" * 5000
+    too_deep = [
+        ["hull-member", "--point", "1", "--set", deep],
+        ["hull-member", "--point", deep, "--set", "0,3"],
+        ["hull-member", "--ring", deep, "--point", "1", "--set", "0,3"],
+        ["verify-formula", "--formula", '{"formula": %s}' % deep, "--coeffs=1/2,1/2"],
+        ["eval-term", "--term", "(op " * 3000 + "x0" + " x1 1/2)" * 3000,
+         "--points", "0,1"],
+    ]
+    for argv in too_deep:
+        code, report = run_cli(capsys, *argv)
+        assert code == 3
+        assert report["error"]["code"] == "bad-input"
+
+
+def test_internal_dimension_error_is_bad_input(capsys, monkeypatch):
+    # only a real dimension mismatch exits 4; other errors that mention a
+    # dimension are bad input
+    def no_basis(points, dimension):
+        raise affine.AffineError(
+            f"no affine basis of dimension {dimension} extends the points"
+        )
+
+    monkeypatch.setattr(affine, "extend_to_basis", no_basis)
+    code, report = run_cli(
+        capsys, "affine-equiv", "--left", '[["0"],["1"]]', "--right", '[["0"],["3"]]'
+    )
+    assert code == 3
+    assert report["error"]["code"] == "bad-input"
 
 
 def test_every_report_states_its_principle(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from baryalg import linalg
 from baryalg.hull import (
     HullError,
     TSegment,
@@ -11,6 +12,7 @@ from baryalg.hull import (
     caratheodory,
     hull_member_Q,
     hull_member_T,
+    membership_report_Q,
     membership_report_T,
     q_convexity_probe,
     ring_lines_through,
@@ -217,6 +219,76 @@ def test_caratheodory_contract_random():
             for j in range(dim)
         )
         assert recombined == d
+
+
+def _flat_instance(rng):
+    """Points with repeats, sometimes on a lower-dimensional flat, and a
+    convex combination of them."""
+    dim = rng.randint(1, 3)
+    flat = rng.randint(0, dim)
+    pool = [
+        tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(flat))
+        for _ in range(rng.randint(1, 5))
+    ]
+    embed = [[F(rng.randint(-2, 2)) for _ in range(flat)] for _ in range(dim)]
+    shift = [F(rng.randint(-3, 3), 2) for _ in range(dim)]
+    points = [
+        tuple(sum((r[k] * q[k] for k in range(flat)), s) for r, s in zip(embed, shift))
+        for q in (rng.choice(pool) for _ in range(rng.randint(1, 8)))
+    ]
+    weights = [F(rng.randint(0, 4)) for _ in points]
+    weights[rng.randrange(len(points))] += 1
+    total = sum(weights)
+    d = tuple(
+        sum((w / total * p[j] for w, p in zip(weights, points)), F(0))
+        for j in range(dim)
+    )
+    return d, points
+
+
+def test_membership_Q_support_is_affinely_independent():
+    # the simplex stops at a basic solution, so its support is independent
+    # even when generators repeat or span only a flat
+    rng = random.Random(5)
+    for _ in range(320):
+        d, points = _flat_instance(rng)
+        combo = membership_report_Q(d, points).combination
+        assert combo is not None
+        _combination_evaluates(combo, points, d)
+        assert _affinely_independent([points[i] for i, _ in combo.support])
+
+
+def test_caratheodory_makes_no_solve_affine_call(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("caratheodory solved an affine system")
+
+    monkeypatch.setattr(linalg, "solve_affine", forbidden)
+    rng = random.Random(6)
+    for _ in range(40):
+        d, points = _flat_instance(rng)
+        indices, coeffs = caratheodory(d, points)
+        assert _affinely_independent([points[i] for i in indices])
+        assert sum(coeffs) == 1
+
+
+def test_membership_report_T_solves_affine_at_most_once(monkeypatch):
+    calls = []
+    solve = linalg.solve_affine
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(linalg, "solve_affine", counted)
+    rng = random.Random(7)
+    walked = 0
+    for _ in range(40):
+        d, points = _flat_instance(rng)
+        calls.clear()
+        report = membership_report_T(d, points, DYADIC)
+        assert len(calls) <= 1
+        walked += report.reason == "ring-combination"
+    assert walked > 0
 
 
 def test_vpolytope_vertices_and_dimension():
