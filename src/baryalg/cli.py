@@ -62,8 +62,9 @@ PRINCIPLES = {
         "every ring line through them; the engine explores a bounded slice"
     ),
     "probe-convexity": (
-        "a ring hull need not be closed under all rational barycentric "
-        "operations; failures witness the gap"
+        "the ring hull of two or more distinct points is never closed under "
+        "all rational barycentric operations: a prime the ring does not invert "
+        "gives a point of the segment below the hull's valuation bound"
     ),
     "affine-equiv": (
         "bounded rational V-polytopes are affinely equivalent exactly when an "
@@ -79,9 +80,6 @@ PRINCIPLES = {
         "midpoint although no vertex lies in the hull of the other five"
     ),
 }
-
-SAMPLED_COMMANDS = ("laws-check", "probe-convexity", "iso-check")
-
 
 @dataclass
 class JobConfig:
@@ -168,13 +166,23 @@ def _parse_point_set(text: str) -> list[tuple[Fraction, ...]]:
     return [(_rational(part),) for part in text.split(",")]
 
 
-def _load_point_file(text: str) -> list[tuple[Fraction, ...]]:
+def _inline_or_file(text: str, opener: str, kind: str) -> str:
+    """The argument itself when it starts with opener, else the UTF-8 text
+    of the file it names."""
     text = text.strip()
-    if not text.startswith("["):
-        path = Path(text)
-        if not path.exists():
-            raise CliError("bad-input", f"no such point file: {text}")
-        text = path.read_text()
+    if text.startswith(opener):
+        return text
+    try:
+        return Path(text).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise CliError("bad-input", f"no such {kind} file: {text}") from exc
+    # ValueError covers UnicodeDecodeError and a NUL in the name
+    except (OSError, ValueError) as exc:
+        raise CliError("bad-input", f"cannot read {kind} file: {exc}") from exc
+
+
+def _load_point_file(text: str) -> list[tuple[Fraction, ...]]:
+    text = _inline_or_file(text, "[", "point")
     try:
         return _points_from_json(json.loads(text))
     except json.JSONDecodeError as exc:
@@ -276,12 +284,7 @@ def _cmd_synth_formula(opts) -> dict:
 
 
 def _cmd_verify_formula(opts) -> dict:
-    text = opts["formula"].strip()
-    if not text.startswith("{"):
-        path = Path(text)
-        if not path.exists():
-            raise CliError("bad-input", f"no such formula file: {text}")
-        text = path.read_text()
+    text = _inline_or_file(opts["formula"], "{", "formula")
     try:
         data = json.loads(text)
         if isinstance(data, dict) and "formula" in data:  # accept a full report
@@ -369,15 +372,20 @@ def _cmd_probe_convexity(opts) -> dict:
     ring = _parse_ring(opts["ring"])
     points = _parse_point_set(opts["set"])
     _require_same_dimension(points)
-    samples = _count(opts, "samples", 0)
-    report = hull.q_convexity_probe(points, ring, samples, opts["seed"])
+    # --samples and --seed are accepted for old command lines, and unused
+    if opts["samples"] is not None:
+        _count(opts, "samples", 0)
+    report = hull.q_convexity_probe(points, ring)
+    witness = None
+    if report.witness is not None:
+        x0, x1, t = report.witness
+        witness = {"x0": _fmt_point(x0), "x1": _fmt_point(x1), "t": format_rational(t)}
     return {
-        "samples": report.samples,
-        "failures": [
-            {"a": _fmt_point(a), "b": _fmt_point(b), "q": format_rational(q)}
-            for a, b, q in report.failures
-        ],
-        "q_convex_so_far": report.q_convex_so_far,
+        "q_convex": report.q_convex,
+        "witness": witness,
+        "prime": report.prime,
+        "coordinate": report.coordinate,
+        "valuation_bound": report.valuation_bound,
     }
 
 
@@ -516,11 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--line-bound", type=int, default=3, dest="line_bound")
     common(p)
 
-    p = sub.add_parser("probe-convexity", help="probe rational convexity of a ring hull")
+    p = sub.add_parser("probe-convexity", help="decide rational convexity of a ring hull")
     p.add_argument("--set", required=True)
     p.add_argument("--ring", required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--samples", type=int, help="unused; kept for old command lines")
+    p.add_argument("--seed", type=int, help="unused; kept for old command lines")
     common(p)
 
     p = sub.add_parser("affine-equiv", help="affine equivalence of two V-polytopes")

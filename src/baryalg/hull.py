@@ -8,23 +8,27 @@ intersected with the ring lattice: its affine hull is computed via implicit
 equalities, solvability of that hull over the ring is decided by Smith
 normal form, and a witness is built by perturbing a relative interior point
 along integer kernel directions scaled by inverse prime powers.
+
+Whether a ring hull is closed under every rational operation is decided in
+closed form by one q-adic valuation, for q the smallest prime the ring does
+not invert (see q_convexity_probe).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
 from .linalg import LinearConstraint
-from .mode import Node, Leaf, Point, as_point, bary_op, eval_term
+from .mode import Point, as_point, bary_op
 from .scalar import (
     RingSpec,
     integer_row,
+    prime_valuation,
     ring_contains,
     s_free_part,
     smallest_inverted_prime,
@@ -192,9 +196,17 @@ def membership_report_T(
     for direction in int_kernel:
         free = max(i for i, c in enumerate(direction) if c != 0)
         alpha.append((interior[free] - ring_point[free]) / direction[free])
+    # Rounding to denominator den moves xi_i off interior_i by at most
+    # sum_j |direction_j[i]| / (2 den), and a coordinate with interior_i = 0
+    # is 0 along every direction, so the walk succeeds once den >= bound.
+    bound = max(
+        Fraction(sum(abs(direction[i]) for direction in int_kernel)) / (2 * x)
+        for i, x in enumerate(interior)
+        if x > 0
+    )
     p = smallest_inverted_prime(ring)
     den = 1
-    for _ in range(200):
+    while True:
         steps = [_nearest_with_denominator(a, den) for a in alpha]
         xi = list(ring_point)
         for step, direction in zip(steps, int_kernel):
@@ -204,8 +216,9 @@ def membership_report_T(
             if not all(ring_contains(c, ring) for c in xi):
                 raise HullError("ring witness has a coefficient outside the ring")
             return MembershipReport(True, _combination(xi), "ring-combination")
+        if den >= bound:
+            raise HullError("ring witness search passed its rounding bound")
         den *= p
-    raise HullError("ring witness search failed to converge")
 
 
 def hull_member_T(
@@ -369,49 +382,80 @@ def segment_closure_bounded(
 
 
 # ---------------------------------------------------------------------------
-# Convexity probe
+# Rational convexity of a ring hull
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvexityReport:
-    samples: int
-    failures: list[tuple[Point, Point, Fraction]]
+    """Whether the ring hull of X is closed under every rational operation;
+    if not, the operation x0 x1 (t) that leaves it (see q_convexity_probe)."""
 
-    @property
-    def q_convex_so_far(self) -> bool:
-        return not self.failures
-
-
-def _random_ring_term(rng: random.Random, arity: int, ring: RingSpec, depth: int):
-    if depth == 0 or rng.random() < 0.3:
-        return Leaf(rng.randrange(arity))
-    p = smallest_inverted_prime(ring)
-    exp = rng.randint(1, 3)
-    num = rng.randint(1, p**exp - 1)
-    return Node(
-        _random_ring_term(rng, arity, ring, depth - 1),
-        _random_ring_term(rng, arity, ring, depth - 1),
-        Fraction(num, p**exp),
-    )
+    q_convex: bool
+    witness: Optional[tuple[Point, Point, Fraction]] = None
+    prime: Optional[int] = None
+    coordinate: Optional[int] = None
+    valuation_bound: Optional[int] = None
 
 
-def q_convexity_probe(
-    generators: Sequence[Sequence], ring: RingSpec, samples: int, seed: int
-) -> ConvexityReport:
-    """Probe whether the ring hull of the generators is closed under all
-    rational barycentric operations; failures witness that it is not."""
+def _valuation_bound(pts: list[Point], coordinate: int, q: int) -> int:
+    return min(prime_valuation(p[coordinate], q) for p in pts if p[coordinate] != 0)
+
+
+def q_convexity_probe(generators: Sequence[Sequence], ring: RingSpec) -> ConvexityReport:
+    """Decide whether the ring hull of X is closed under all rational
+    barycentric operations: it is exactly when X has one distinct point.
+
+    One point is its own hull, and every operation fixes it.  Otherwise let
+    x0, x1 be the first two distinct generators, q the smallest prime that
+    the ring does not invert, c the first coordinate where x0 and x1
+    differ, v the least q-adic valuation of a nonzero c-entry of X, and
+    k = v_q(x1_c - x0_c) - v + 1.  Ring coefficients have valuation >= 0,
+    so every c-entry of the ring hull is 0 or has valuation >= v.  The
+    difference x1_c - x0_c has valuation >= v, so k >= 1 and t = 1/q^k
+    lies in (0, 1).  The witness w = x0 x1 (t) lies on [x0, x1], and
+    w_c = x0_c + (x1_c - x0_c)/q^k: the second term has valuation v - 1
+    and x0_c is 0 or of valuation >= v, so w_c has valuation v - 1 and w
+    is not in the ring hull.  No LP and no sampling is involved.
+    """
     pts = _check_points(generators)
-    rng = random.Random(seed)
-    report = ConvexityReport(samples, [])
-    if len(pts) == 1:
-        return report
-    for _ in range(samples):
-        assignment = dict(enumerate(pts))
-        a = eval_term(_random_ring_term(rng, len(pts), ring, 3), assignment)
-        b = eval_term(_random_ring_term(rng, len(pts), ring, 3), assignment)
-        q = Fraction(rng.randint(1, 11), 12)
-        probe = bary_op(a, b, q)
-        if hull_member_T(probe, pts, ring) is None:
-            report.failures.append((a, b, q))
-    return report
+    x0 = pts[0]
+    x1 = next((p for p in pts if p != x0), None)
+    if x1 is None:
+        return ConvexityReport(True)
+    # The least n >= 2 with 1/n outside the ring is a prime: a prime factor
+    # of n outside S would be a smaller such n.
+    q = next(n for n in itertools.count(2) if not ring_contains(Fraction(1, n), ring))
+    c = next(i for i, (a, b) in enumerate(zip(x0, x1)) if a != b)
+    v = _valuation_bound(pts, c, q)
+    k = prime_valuation(x1[c] - x0[c], q) - v + 1
+    return ConvexityReport(False, (x0, x1, Fraction(1, q**k)), q, c, v)
+
+
+def check_convexity_report(
+    generators: Sequence[Sequence], ring: RingSpec, report: ConvexityReport
+) -> bool:
+    """Re-validate a ConvexityReport from the generators and the ring alone.
+
+    A negative verdict holds when x0, x1 are generators, t is in (0, 1),
+    q is a prime the ring does not invert, valuation_bound is the least
+    q-adic valuation of a nonzero coordinate-th entry of X, and the
+    witness's coordinate-th entry is nonzero with a smaller valuation (see
+    q_convexity_probe for why that puts it outside the ring hull).
+    """
+    pts = _check_points(generators)
+    if report.q_convex:
+        return len(set(pts)) == 1
+    x0, x1, t = report.witness
+    q, c = report.prime, report.coordinate
+    if x0 not in pts or x1 not in pts or not 0 < t < 1 or not 0 <= c < len(x0):
+        return False
+    try:
+        bound = _valuation_bound(pts, c, q)
+        return (
+            not ring_contains(Fraction(1, q), ring)
+            and bound == report.valuation_bound
+            and prime_valuation(bary_op(x0, x1, t)[c], q) < bound
+        )
+    except ValueError:  # q is not prime, or every c-entry of X or of w is 0
+        return False

@@ -198,25 +198,19 @@ def smith_normal_form(
         _, pi, pj = min(entries)
         swap_rows(t, pi)
         swap_cols(t, pj)
-        while True:
-            # shrink the pivot until it divides its whole row and column
-            changed = False
-            for r in range(t + 1, nrows):
-                if a[r][t] != 0:
-                    q = a[r][t] // a[t][t]
-                    add_row(r, t, -q)
-                    if a[r][t] != 0:
-                        swap_rows(t, r)
-                        changed = True
-            for c in range(t + 1, ncols):
-                if a[t][c] != 0:
-                    q = a[t][c] // a[t][t]
-                    add_col(c, t, -q)
-                    if a[t][c] != 0:
-                        swap_cols(t, c)
-                        changed = True
-            if not changed:
-                break
+        # Reduce the pivot's column and row once.  A nonzero remainder is
+        # smaller than the pivot, so re-picking the smallest entry shrinks
+        # the pivot strictly.
+        for r in range(t + 1, nrows):
+            if a[r][t] != 0:
+                add_row(r, t, -(a[r][t] // a[t][t]))
+        for c in range(t + 1, ncols):
+            if a[t][c] != 0:
+                add_col(c, t, -(a[t][c] // a[t][t]))
+        if any(a[r][t] for r in range(t + 1, nrows)) or any(
+            a[t][c] for c in range(t + 1, ncols)
+        ):
+            continue
         offender = next(
             (
                 (r, c)

@@ -150,13 +150,22 @@ def test_probe_convexity_command(capsys):
         "0,3",
         "--ring",
         DYADIC_RING,
-        "--samples",
-        "10",
-        "--seed",
-        "1",
     )
     assert code == 0
-    assert report["result"]["q_convex_so_far"] is False
+    assert report["result"] == {
+        "q_convex": False,
+        "witness": {"x0": ["0"], "x1": ["3"], "t": "1/3"},
+        "prime": 3,
+        "coordinate": 0,
+        "valuation_bound": 1,
+    }
+    # the unused sampling flags still parse
+    code, report = run_cli(
+        capsys, "probe-convexity", "--set", "0", "--ring", DYADIC_RING,
+        "--samples=2", "--seed=7",
+    )
+    assert code == 0
+    assert report["result"]["q_convex"] is True
 
 
 def test_affine_equiv_command(capsys, tmp_path):
@@ -214,7 +223,7 @@ def test_hexagon_demo_command(capsys):
     assert report["result"]["holds"] is True
 
 
-def test_error_codes(capsys):
+def test_error_codes(capsys, tmp_path):
     code, report = run_cli(
         capsys, "hull-member", "--ring", "{bad json", "--point", "1", "--set", "0,3"
     )
@@ -314,6 +323,18 @@ def test_error_codes(capsys):
         code, report = run_cli(capsys, *argv)
         assert code == 3
         assert report["error"]["code"] == "bad-input"
+    # file arguments that cannot be read: a name too long, a directory,
+    # and a file that is not UTF-8
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe[")
+    for name in ("x" * 5000, str(tmp_path), str(binary)):
+        for argv in (
+            ["affine-equiv", "--left", name, "--right", '[["0"],["1"]]'],
+            ["verify-formula", "--formula", name, "--coeffs=1/2,1/2"],
+        ):
+            code, report = run_cli(capsys, *argv)
+            assert code == 3
+            assert report["error"]["code"] == "bad-input"
 
 
 def test_internal_dimension_error_is_bad_input(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from baryalg.hull import (
     TSegment,
     VPolytope,
     caratheodory,
+    check_convexity_report,
     hull_member_Q,
     hull_member_T,
     membership_report_Q,
@@ -20,8 +23,8 @@ from baryalg.hull import (
     t_segment_points,
 )
 from baryalg.linalg import rank
-from baryalg.mode import Leaf, Node, eval_term
-from baryalg.scalar import DYADIC, RingSpec, ring_contains
+from baryalg.mode import Leaf, Node, bary_op, eval_term
+from baryalg.scalar import DYADIC, RingSpec, prime_valuation, ring_contains
 
 F = Fraction
 
@@ -386,9 +389,98 @@ def test_random_ring_terms_live_in_ring_hull():
 
 
 def test_q_convexity_probe_examples():
-    report = q_convexity_probe(_points([0], [3]), DYADIC, 30, seed=2)
-    assert report.failures  # the dyadic hull of {0,3} is not Q-convex
-    report = q_convexity_probe(_points([0], [1]), DYADIC, 30, seed=2)
-    assert report.failures  # thirds escape the dyadic hull of {0,1} too
-    report = q_convexity_probe(_points([0]), DYADIC, 10, seed=2)
-    assert not report.failures
+    report = q_convexity_probe(_points([0], [3]), DYADIC)
+    assert not report.q_convex  # the dyadic hull of {0,3} is not Q-convex
+    assert report.witness == ((F(0),), (F(3),), F(1, 3))
+    assert (report.prime, report.coordinate, report.valuation_bound) == (3, 0, 1)
+    report = q_convexity_probe(_points([0], [1]), DYADIC)
+    assert not report.q_convex  # thirds escape the dyadic hull of {0,1} too
+    assert report.witness == ((F(0),), (F(1),), F(1, 3))
+    report = q_convexity_probe(_points([0]), DYADIC)
+    assert report.q_convex and report.witness is None
+    assert check_convexity_report(_points([0]), DYADIC, report)
+
+
+def _random_generators(rng):
+    dim = rng.randint(1, 3)
+    pts = [
+        tuple(F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(dim))
+        for _ in range(rng.randint(1, 5))
+    ]
+    shape = rng.random()
+    if shape < 0.2:  # repeated generators
+        pts += [rng.choice(pts) for _ in range(rng.randint(1, 3))]
+    elif shape < 0.4 and dim > 1:  # a set of lower affine dimension
+        a, b = pts[0], pts[-1]
+        pts = [tuple(x + F(rng.randint(-3, 3), 2) * (y - x) for x, y in zip(a, b))
+               for _ in range(len(pts))]
+    return pts
+
+
+def test_q_convexity_witnesses_leave_the_ring_hull():
+    rng = random.Random(31)
+    rings = [DYADIC, RingSpec([3]), RingSpec([2, 3]), RingSpec([5]),
+             RingSpec([3, 7]), RingSpec([2, 3, 5, 7])]
+    negatives = 0
+    for _ in range(320):
+        pts = _random_generators(rng)
+        ring = rng.choice(rings)
+        report = q_convexity_probe(pts, ring)
+        assert check_convexity_report(pts, ring, report)
+        assert report.q_convex == (len(set(pts)) == 1)
+        if report.q_convex:
+            continue
+        negatives += 1
+        x0, x1, t = report.witness
+        if ring.inverted_primes == (2, 3, 5, 7):
+            assert report.prime == 11
+        w = bary_op(x0, x1, t)
+        assert hull_member_Q(w, pts) is not None
+        assert hull_member_T(w, pts, ring) is None
+        # tampered artifacts are rejected
+        q, k = report.prime, prime_valuation(1 / t, report.prime)
+        if k > 1:
+            shallower = replace(report, witness=(x0, x1, F(1, q ** (k - 1))))
+            assert not check_convexity_report(pts, ring, shallower)
+        inverted = ring.inverted_primes[0]
+        swapped = replace(report, prime=inverted, witness=(x0, x1, F(1, inverted**k)))
+        assert not check_convexity_report(pts, ring, swapped)
+    assert negatives >= 200
+
+
+def test_q_convexity_checker_rejects_tampering():
+    pts = _points([0], [3])
+    report = q_convexity_probe(pts, DYADIC)
+    assert check_convexity_report(pts, DYADIC, report)
+    for tampered in (
+        replace(report, witness=((F(0),), (F(3),), F(1))),  # k - 1
+        replace(report, prime=2, witness=((F(0),), (F(3),), F(1, 2))),
+        replace(report, q_convex=True),
+        replace(report, witness=((F(0),), (F(5),), F(1, 3))),
+        replace(report, coordinate=1),
+        replace(report, valuation_bound=2),
+    ):
+        assert not check_convexity_report(pts, DYADIC, tampered)
+
+
+def test_q_convexity_probe_solves_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("lp_feasible called")
+
+    monkeypatch.setattr(linalg, "lp_feasible", no_lp)
+    pts = _points([0, 1], [3, 1], [1, 5])
+    report = q_convexity_probe(pts, DYADIC)
+    assert not report.q_convex
+    assert check_convexity_report(pts, DYADIC, report)
+
+
+def test_t_query_keeps_snf_entries_small():
+    gens = _points(
+        (F(-9, 7), -8, -2), (F(5, 4), 2, F(3, 2)), (F(-1, 2), 2, F(8, 7)),
+        (F(1, 9), -1, F(7, 4)), (2, F(-7, 3), F(8, 3)), (-1, 8, 0),
+        (1, -4, F(-5, 6)),
+    )
+    started = time.perf_counter()
+    report = membership_report_T((F(461, 1050), F(-83, 75), F(221, 420)), gens, DYADIC)
+    assert time.perf_counter() - started < 1
+    assert report.reason == "no-ring-point-on-affine-hull"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,20 @@ def test_snf_random_matrices():
         cols = rng.randint(1, 4)
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         _snf_invariants(mat)
+
+
+def test_snf_keeps_entries_small():
+    # swapping each remainder into the pivot mid-sweep grows these entries
+    # to millions of bits
+    mat = [
+        [-8100, 7875, -3150, 700, 12600, -6300, 6300],
+        [-600, 150, 150, -75, -175, 600, -300],
+        [-840, 630, 480, 735, 1120, 0, -350],
+        [1, 1, 1, 1, 1, 1, 1],
+    ]
+    started = time.perf_counter()
+    assert _snf_invariants(mat) == [1, 5, 25, 25]
+    assert time.perf_counter() - started < 1
 
 
 def test_lp_feasible_interval():
