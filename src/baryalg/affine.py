@@ -233,9 +233,8 @@ def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
                 yield from images(chosen + [j])
 
     for perm in images([]):
+        # candidate has the anchor's G block, so it is independent like the anchor
         candidate = [rv[i] for i in perm]
-        if not affine_independent(candidate):
-            continue
         dst_basis = extend_to_basis(candidate, n)
         witness = map_from_correspondence(src_basis, dst_basis)
         image = {witness.apply(vert) for vert in lv}

@@ -4,7 +4,10 @@ Every command prints one report object with a stable field order, so equal
 configurations (including seeds) produce byte-identical reports.  Elapsed
 time is reported only when --timing is passed, keeping default output
 reproducible.  Exit code 0 means a decided verdict (including negative
-ones); nonzero codes carry a distinct diagnostic code in the error payload.
+ones) and 2 an argparse usage error.  Exit codes 3 (malformed or refused
+input), 4 (points of different dimensions) and 5 (unsupported input) print
+{"error": {"code": ..., "message": ...}} on stdout; the README lists the
+error codes of each command and the size limits behind the refusals.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__, affine, formula, hull, mode
 from .linalg import LinalgError
@@ -30,56 +33,6 @@ class CliError(Exception):
         self.code = code
         self.exit_code = exit_code
 
-
-PRINCIPLES = {
-    "hull-member": (
-        "membership in a coefficient-ring hull asks for a coefficient vector "
-        "inside the ring's closed unit interval that sums to 1 and recombines "
-        "to the query point"
-    ),
-    "caratheodory": (
-        "every member of a rational hull is a positive combination of an "
-        "affinely independent subset of the generators"
-    ),
-    "synth-formula": (
-        "a conjunction of two-point chain relations with one inverted-prime "
-        "parameter pins down any rational affine combination existentially"
-    ),
-    "verify-formula": (
-        "re-solving the constraint system symbolically must determine every "
-        "variable uniquely and reproduce the coefficient vector"
-    ),
-    "eval-term": (
-        "a binary term evaluates to the affine combination given by its "
-        "expanded coefficient vector"
-    ),
-    "laws-check": (
-        "barycentric operations are idempotent, twisted-commutative, entropic, "
-        "and cancellative for nonzero parameters"
-    ),
-    "closure": (
-        "segment convexity requires every ring segment between two members, on "
-        "every ring line through them; the engine explores a bounded slice"
-    ),
-    "probe-convexity": (
-        "the ring hull of two or more distinct points is never closed under "
-        "all rational barycentric operations: a prime the ring does not invert "
-        "gives a point of the segment below the hull's valuation bound"
-    ),
-    "affine-equiv": (
-        "bounded rational V-polytopes are affinely equivalent exactly when an "
-        "invertible affine map bijects their vertex sets"
-    ),
-    "iso-check": (
-        "for rational polytopes, isomorphism of the barycentric algebras "
-        "coincides with affine equivalence, the witness map restricted to the "
-        "polytope being the isomorphism"
-    ),
-    "hexagon-demo": (
-        "in a centrally symmetric hexagon the two long diagonals share their "
-        "midpoint although no vertex lies in the hull of the other five"
-    ),
-}
 
 @dataclass
 class JobConfig:
@@ -129,13 +82,20 @@ def _rational(text: str) -> Fraction:
         raise CliError("bad-rational", str(exc)) from exc
 
 
+def _decode(text: str, what: str, read: Callable = lambda data: data):
+    """read applied to the JSON value of text.  Any ValueError (a decoding
+    error, or an integer longer than the interpreter reads), and a value
+    whose shape read cannot take, is bad-json."""
+    try:
+        return read(json.loads(text))
+    except (ValueError, LookupError, TypeError) as exc:
+        raise CliError("bad-json", f"{what}: {exc}") from exc
+
+
 def _parse_point(text: str) -> tuple[Fraction, ...]:
     text = text.strip()
     if text.startswith("["):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CliError("bad-json", f"invalid point JSON: {exc}") from exc
+        data = _decode(text, "invalid point JSON")
         return tuple(_rational(str(c)) for c in data)
     return tuple(_rational(part) for part in text.split(","))
 
@@ -156,10 +116,7 @@ def _parse_point_set(text: str) -> list[tuple[Fraction, ...]]:
     plain comma list of one-dimensional points."""
     text = text.strip()
     if text.startswith("["):
-        try:
-            return _points_from_json(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise CliError("bad-json", f"invalid point set JSON: {exc}") from exc
+        return _points_from_json(_decode(text, "invalid point set JSON"))
     if ";" in text:
         rows = [row for row in text.split(";") if row.strip()]
         return [_parse_point(row) for row in rows]
@@ -181,12 +138,17 @@ def _inline_or_file(text: str, opener: str, kind: str) -> str:
         raise CliError("bad-input", f"cannot read {kind} file: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    # ValueError covers a NUL in the name and text the encoding cannot write
+    except (OSError, ValueError) as exc:
+        raise CliError("bad-input", f"cannot write --out file: {exc}") from exc
+
+
 def _load_point_file(text: str) -> list[tuple[Fraction, ...]]:
     text = _inline_or_file(text, "[", "point")
-    try:
-        return _points_from_json(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise CliError("bad-json", f"invalid point file: {exc}") from exc
+    return _points_from_json(_decode(text, "invalid point file"))
 
 
 def _count(opts, key: str, least: int) -> int:
@@ -283,19 +245,15 @@ def _cmd_synth_formula(opts) -> dict:
     }
 
 
+def _read_formula(data) -> formula.ChainFormula:
+    if isinstance(data, dict) and "formula" in data:  # accept a full report
+        data = data["result"]["formula"] if "result" in data else data["formula"]
+    return formula.formula_from_json(json.dumps(data))
+
+
 def _cmd_verify_formula(opts) -> dict:
     text = _inline_or_file(opts["formula"], "{", "formula")
-    try:
-        data = json.loads(text)
-        if isinstance(data, dict) and "formula" in data:  # accept a full report
-            data = (
-                data["result"]["formula"]
-                if "result" in data
-                else data["formula"]
-            )
-        phi = formula.formula_from_json(json.dumps(data))
-    except (json.JSONDecodeError, formula.FormulaError) as exc:
-        raise CliError("bad-json", f"invalid formula: {exc}") from exc
+    phi = _decode(text, "invalid formula", _read_formula)
     coeffs = [_rational(c) for c in opts["coeffs"].split(",")]
     try:
         valid = formula.verify_phi(phi, coeffs)
@@ -431,27 +389,108 @@ def _cmd_hexagon_demo(_opts) -> dict:
     return {"holds": holds, "vertices": hexagon, "shared_midpoint": ["0", "0"]}
 
 
+@dataclass(frozen=True)
+class Command:
+    """A subcommand; arguments are (flag, add_argument keywords) pairs."""
+
+    handler: Callable[[dict], dict]
+    help: str
+    principle: str
+    arguments: tuple[tuple[str, dict], ...] = ()
+
+
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_UNUSED_INT = {"type": int, "help": "unused; kept for old command lines"}
+
 COMMANDS = {
-    "hull-member": _cmd_hull_member,
-    "caratheodory": _cmd_caratheodory,
-    "synth-formula": _cmd_synth_formula,
-    "verify-formula": _cmd_verify_formula,
-    "eval-term": _cmd_eval_term,
-    "laws-check": _cmd_laws_check,
-    "closure": _cmd_closure,
-    "probe-convexity": _cmd_probe_convexity,
-    "affine-equiv": _cmd_affine_equiv,
-    "iso-check": _cmd_iso_check,
-    "hexagon-demo": _cmd_hexagon_demo,
+    "hull-member": Command(
+        _cmd_hull_member, "hull membership over Q or a ring",
+        "membership in a coefficient-ring hull asks for a coefficient vector "
+        "inside the ring's closed unit interval that sums to 1 and recombines "
+        "to the query point",
+        (("--point", _REQUIRED), ("--set", _REQUIRED),
+         ("--ring", {"help": 'e.g. {"inverted_primes":[2]}; omit for Q'})),
+    ),
+    "caratheodory": Command(
+        _cmd_caratheodory, "independent positive recombination",
+        "every member of a rational hull is a positive combination of an "
+        "affinely independent subset of the generators",
+        (("--point", _REQUIRED), ("--set", _REQUIRED)),
+    ),
+    "synth-formula": Command(
+        _cmd_synth_formula, "synthesize an existential chain formula",
+        "a conjunction of two-point chain relations with one inverted-prime "
+        "parameter pins down any rational affine combination existentially",
+        (("--ring", _REQUIRED), ("--coeffs", {**_REQUIRED, "help": 'e.g. "-1/2,3/2"'})),
+    ),
+    "verify-formula": Command(
+        _cmd_verify_formula, "verify a formula against coefficients",
+        "re-solving the constraint system symbolically must determine every "
+        "variable uniquely and reproduce the coefficient vector",
+        (("--formula", {**_REQUIRED, "help": "formula JSON or a file path"}),
+         ("--coeffs", _REQUIRED)),
+    ),
+    "eval-term": Command(
+        _cmd_eval_term, "evaluate a term S-expression",
+        "a binary term evaluates to the affine combination given by its "
+        "expanded coefficient vector",
+        (("--term", {**_REQUIRED, "help": 'e.g. "(op x0 x1 1/2)"'}),
+         ("--points", {**_REQUIRED, "help": "assignment for x0,x1,..."})),
+    ),
+    "laws-check": Command(
+        _cmd_laws_check, "check groupoid laws on random samples",
+        "barycentric operations are idempotent, twisted-commutative, entropic, "
+        "and cancellative for nonzero parameters",
+        (("--samples", _REQUIRED_INT), ("--seed", _REQUIRED_INT),
+         ("--dim", {"type": int, "default": 2})),
+    ),
+    "closure": Command(
+        _cmd_closure, "bounded segment-convex closure",
+        "segment convexity requires every ring segment between two members, on "
+        "every ring line through them; the engine explores a bounded slice",
+        (("--set", _REQUIRED), ("--ring", _REQUIRED), ("--depth", _REQUIRED_INT),
+         ("--rounds", _REQUIRED_INT), ("--line-bound", {"type": int, "default": 3})),
+    ),
+    "probe-convexity": Command(
+        _cmd_probe_convexity, "decide rational convexity of a ring hull",
+        "the ring hull of two or more distinct points is never closed under "
+        "all rational barycentric operations: a prime the ring does not invert "
+        "gives a point of the segment below the hull's valuation bound",
+        (("--set", _REQUIRED), ("--ring", _REQUIRED),
+         ("--samples", _UNUSED_INT), ("--seed", _UNUSED_INT)),
+    ),
+    "affine-equiv": Command(
+        _cmd_affine_equiv, "affine equivalence of two V-polytopes",
+        "bounded rational V-polytopes are affinely equivalent exactly when an "
+        "invertible affine map bijects their vertex sets",
+        (("--left", {**_REQUIRED, "help": "point file or inline JSON"}),
+         ("--right", _REQUIRED)),
+    ),
+    "iso-check": Command(
+        _cmd_iso_check, "barycentric-algebra isomorphism decision",
+        "for rational polytopes, isomorphism of the barycentric algebras "
+        "coincides with affine equivalence, the witness map restricted to the "
+        "polytope being the isomorphism",
+        (("--left", _REQUIRED), ("--right", _REQUIRED), ("--ring", _REQUIRED),
+         ("--samples", {"type": int, "default": 25}), ("--seed", _REQUIRED_INT)),
+    ),
+    "hexagon-demo": Command(
+        _cmd_hexagon_demo, "shared-midpoint hexagon demonstration",
+        "in a centrally symmetric hexagon the two long diagonals share their "
+        "midpoint although no vertex lies in the hull of the other five",
+    ),
 }
 
 
 def run(config: JobConfig) -> Report:
     started = time.monotonic()
-    handler = COMMANDS[config.command]
+    command = COMMANDS[config.command]
     try:
-        result = handler(config.options)
-    except (hull.HullError, mode.ModeError, affine.AffineError, LinalgError) as exc:
+        result = command.handler(config.options)
+    # a ScalarError here is a result too large to print
+    except (hull.HullError, mode.ModeError, affine.AffineError, LinalgError,
+            ScalarError) as exc:
         raise CliError("bad-input", str(exc)) from exc
     except RecursionError as exc:
         raise CliError("bad-input", "input is nested too deeply") from exc
@@ -463,7 +502,7 @@ def run(config: JobConfig) -> Report:
         command=config.command,
         parameters=parameters,
         result=result,
-        principle=PRINCIPLES[config.command],
+        principle=command.principle,
         elapsed_ms=elapsed,
     )
 
@@ -476,105 +515,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, timing=True):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, kwargs in command.arguments:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--out", help="write the JSON report to this file")
-        if timing:
-            p.add_argument(
-                "--timing", action="store_true", help="include elapsed milliseconds"
-            )
-
-    p = sub.add_parser("hull-member", help="hull membership over Q or a ring")
-    p.add_argument("--point", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--ring", help='e.g. {"inverted_primes":[2]}; omit for Q')
-    common(p)
-
-    p = sub.add_parser("caratheodory", help="independent positive recombination")
-    p.add_argument("--point", required=True)
-    p.add_argument("--set", required=True)
-    common(p)
-
-    p = sub.add_parser("synth-formula", help="synthesize an existential chain formula")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--coeffs", required=True, help='e.g. "-1/2,3/2"')
-    common(p)
-
-    p = sub.add_parser("verify-formula", help="verify a formula against coefficients")
-    p.add_argument("--formula", required=True, help="formula JSON or a file path")
-    p.add_argument("--coeffs", required=True)
-    common(p)
-
-    p = sub.add_parser("eval-term", help="evaluate a term S-expression")
-    p.add_argument("--term", required=True, help='e.g. "(op x0 x1 1/2)"')
-    p.add_argument("--points", required=True, help="assignment for x0,x1,...")
-    common(p)
-
-    p = sub.add_parser("laws-check", help="check groupoid laws on random samples")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dim", type=int, default=2)
-    common(p)
-
-    p = sub.add_parser("closure", help="bounded segment-convex closure")
-    p.add_argument("--set", required=True)
-    p.add_argument("--ring", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--line-bound", type=int, default=3, dest="line_bound")
-    common(p)
-
-    p = sub.add_parser("probe-convexity", help="decide rational convexity of a ring hull")
-    p.add_argument("--set", required=True)
-    p.add_argument("--ring", required=True)
-    p.add_argument("--samples", type=int, help="unused; kept for old command lines")
-    p.add_argument("--seed", type=int, help="unused; kept for old command lines")
-    common(p)
-
-    p = sub.add_parser("affine-equiv", help="affine equivalence of two V-polytopes")
-    p.add_argument("--left", required=True, help="point file or inline JSON")
-    p.add_argument("--right", required=True)
-    common(p)
-
-    p = sub.add_parser("iso-check", help="barycentric-algebra isomorphism decision")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--ring", required=True)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--seed", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("hexagon-demo", help="shared-midpoint hexagon demonstration")
-    common(p)
-
+        p.add_argument(
+            "--timing", action="store_true", help="include elapsed milliseconds"
+        )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     options = {
         k: v
         for k, v in vars(args).items()
         if k not in ("command", "out", "timing")
     }
     config = JobConfig(
-        command=args.command,
-        options=options,
-        timing=getattr(args, "timing", False),
-        out=args.out,
+        command=args.command, options=options, timing=args.timing, out=args.out
     )
     try:
-        report = run(config)
+        text = run(config).to_json()
+        if config.out:
+            _write(config.out, text + "\n")
+        else:
+            print(text)
     except CliError as exc:
         payload = json.dumps({"error": {"code": exc.code, "message": str(exc)}})
         print(payload)
         return exc.exit_code
-    text = report.to_json()
-    if config.out:
-        Path(config.out).write_text(text + "\n")
-    else:
-        print(text)
     return 0
 
 

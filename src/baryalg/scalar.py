@@ -20,18 +20,35 @@ class ScalarError(ValueError):
     """Invalid scalar or ring construction / argument."""
 
 
+#: Primality is decided exactly below this bound, about 3.3 * 10^24: it is
+#: the least composite that passes Miller-Rabin to every base in
+#: _WITNESSES (Sorenson & Webster 2015).  Larger numbers are refused.
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for every n below PRIME_LIMIT."""
+    if n >= PRIME_LIMIT:
+        raise ScalarError(f"primality is decided only below {PRIME_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -65,7 +82,9 @@ class RingSpec:
     def from_json(cls, text: str) -> "RingSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError covers JSONDecodeError and the interpreter's limit on
+        # the digits of an integer
+        except ValueError as exc:
             raise ScalarError(f"invalid ring JSON: {exc}") from exc
         if not isinstance(data, dict) or not isinstance(data.get("inverted_primes"), list):
             raise ScalarError('ring JSON must look like {"inverted_primes": [2]}')
@@ -76,17 +95,39 @@ class RingSpec:
 DYADIC = RingSpec((2,))
 
 
+#: Largest exponent magnitude parse_rational accepts in a decimal such as
+#: "1.5e-3".  It equals the interpreter's default limit on the digits of an
+#: integer read from text, so exponents and digit strings are bounded alike;
+#: Fraction would otherwise build a power of ten with that many digits.
+MAX_EXPONENT = 4300
+
+
 def parse_rational(text: str) -> Rational:
-    """Parse "num/den" or "num" into an exact rational."""
+    """Parse "num/den", "num" or a decimal into an exact rational.
+
+    A decimal exponent above MAX_EXPONENT in magnitude is refused.
+    """
     try:
+        _, e, exponent = text.lower().partition("e")
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise ScalarError(f"exponent in {text!r} exceeds {MAX_EXPONENT}")
         return Fraction(text.strip())
+    except ScalarError:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise ScalarError(f"invalid rational {text!r}") from exc
 
 
 def format_rational(q: Rational) -> str:
-    """Render as "num/den", or "num" when the denominator is 1."""
-    return str(Fraction(q))
+    """Render as "num/den", or "num" when the denominator is 1.
+
+    A numerator or denominator longer than the interpreter's limit on the
+    digits of an integer written as text is refused.
+    """
+    try:
+        return str(Fraction(q))
+    except ValueError as exc:
+        raise ScalarError(f"rational too large to print: {exc}") from exc
 
 
 def ring_contains(q: Rational, ring: RingSpec) -> bool:

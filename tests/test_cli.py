@@ -1,14 +1,24 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from baryalg import affine
-from baryalg.cli import main
+from baryalg.cli import COMMANDS, main
 
 DYADIC_RING = '{"inverted_primes":[2]}'
 RING3 = '{"inverted_primes":[3]}'
+MIDPOINT = {
+    "arity": 2,
+    "variables": 3,
+    "inputs": [[0, 0], [1, 1]],
+    "output": 2,
+    "relations": [[0, 1, "1/2", 2]],
+}
 
 
 def run_cli(capsys, *argv):
@@ -276,15 +286,8 @@ def test_error_codes(capsys, tmp_path):
         code, report = run_cli(capsys, *argv)
         assert code == 3
         assert report["error"]["code"] == "bad-input"
-    midpoint = {
-        "arity": 2,
-        "variables": 3,
-        "inputs": [[0, 0], [1, 1]],
-        "output": 2,
-        "relations": [[0, 1, "1/2", 2]],
-    }
     code, report = run_cli(
-        capsys, "verify-formula", "--formula", json.dumps(midpoint), "--coeffs=1/2,1/2"
+        capsys, "verify-formula", "--formula", json.dumps(MIDPOINT), "--coeffs=1/2,1/2"
     )
     assert code == 0 and report["result"]["valid"] is True
     out_of_range_formulas = [
@@ -293,7 +296,7 @@ def test_error_codes(capsys, tmp_path):
         {"inputs": [[0, 5], [1, 1]]},
     ]
     for change in out_of_range_formulas:
-        text = json.dumps({**midpoint, **change})
+        text = json.dumps({**MIDPOINT, **change})
         code, report = run_cli(
             capsys, "verify-formula", "--formula", text, "--coeffs=1/2,1/2"
         )
@@ -305,7 +308,7 @@ def test_error_codes(capsys, tmp_path):
     )
     assert code == 3
     assert report["error"]["code"] == "bad-coefficients"
-    text = json.dumps({**midpoint, "variables": 40001})
+    text = json.dumps({**MIDPOINT, "variables": 40001})
     code, report = run_cli(capsys, "verify-formula", "--formula", text, "--coeffs=1/2,1/2")
     assert code == 3
     assert report["error"]["code"] == "bad-json"
@@ -335,6 +338,52 @@ def test_error_codes(capsys, tmp_path):
             code, report = run_cli(capsys, *argv)
             assert code == 3
             assert report["error"]["code"] == "bad-input"
+
+
+def test_oversized_and_malformed_inputs(capsys, tmp_path):
+    big = "7" * 5000  # past the interpreter's 4300-digit limit on int("...")
+    point_file = tmp_path / "big.json"
+    point_file.write_text('[["%s"], [%s]]' % (big, big))
+    cases = [
+        (["hull-member", "--point", "[%s]" % big, "--set", "0,3"], "bad-json"),
+        (["hull-member", "--point", "1", "--set", "[[%s]]" % big], "bad-json"),
+        (["affine-equiv", "--left", str(point_file), "--right", '[["0"],["1"]]'],
+         "bad-json"),
+        (["verify-formula", "--formula", '{"output": %s}' % big, "--coeffs=1/2,1/2"],
+         "bad-json"),
+        (["hull-member", "--ring", '{"inverted_primes":[%s]}' % big, "--point", "1",
+          "--set", "0,3"], "bad-ring"),
+        # report wrappers without a formula inside
+        (["verify-formula", "--formula", '{"formula": 1, "result": [1]}',
+          "--coeffs=1/2,1/2"], "bad-json"),
+        (["verify-formula", "--formula", '{"formula": 1, "result": {}}',
+          "--coeffs=1/2,1/2"], "bad-json"),
+        # past MAX_EXPONENT, and past the primality limit
+        (["hull-member", "--point", "1e4301", "--set", "0,3"], "bad-rational"),
+        (["synth-formula", "--ring", DYADIC_RING, "--coeffs=1e-99999999,1"],
+         "bad-rational"),
+        (["hull-member", "--ring", '{"inverted_primes":[3317044064679887385961981]}',
+          "--point", "1", "--set", "0,3"], "bad-ring"),
+        # a slice of 6**8 + 1 points, past MAX_CLOSURE_POINTS
+        (["closure", "--set", "0,3", "--ring", '{"inverted_primes":[2,3]}',
+          "--depth", "8", "--rounds", "1"], "bad-input"),
+        # a result with a numerator of more than 4300 digits
+        (["caratheodory", "--point", "1e4000", "--set", "0,1e4300"], "bad-input"),
+    ]
+    for argv, error in cases:
+        code, report = run_cli(capsys, *argv)
+        assert code == 3
+        assert report["error"]["code"] == error
+    code, report = run_cli(capsys, "hull-member", "--point", "1e4300", "--set", "0,3")
+    assert code == 0 and report["result"]["member"] is False
+
+
+def test_unwritable_out_is_bad_input(capsys, tmp_path):
+    for target in (tmp_path, tmp_path / "missing" / "report.json"):
+        code, report = run_cli(capsys, "hexagon-demo", "--out", str(target))
+        assert code == 3
+        assert report["error"]["code"] == "bad-input"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_internal_dimension_error_is_bad_input(capsys, monkeypatch):
@@ -398,3 +447,66 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["holds"] is True
+
+
+DEEP = "[" * 3000 + "]" * 3000
+BIG = "7" * 5000
+SET_2D = '[["0","0"],["1","0"],["0","1"]]'
+# a well-formed value for each string flag, so fuzzed runs get past parsing
+FUZZ_VALID = {
+    "--point": ["1", "1/3,1/3", "-1e2", "[\"1/2\"]"],
+    "--set": ["0,3", "0,1;1,0;1,1", SET_2D],
+    "--ring": [DYADIC_RING, RING3, '{"inverted_primes":[2,3]}'],
+    "--coeffs": ["-1/2,3/2", "1/3,2/3", "1/2,1/4", "1/4,1/4,1/2"],
+    "--formula": [json.dumps(MIDPOINT), json.dumps({"formula": MIDPOINT})],
+    "--term": ["(op x0 x1 1/2)", "(op (op x0 x1 1/3) x2 -2)"],
+    "--points": ["0,1,2", "0,0;1,0;0,1"],
+    "--left": ['[["0"],["2"]]', SET_2D],
+    "--right": ['[["1"],["3"]]', '[["0","0"],["2","0"],["1","1"]]'],
+}
+FUZZ_MALFORMED = st.one_of(
+    st.fractions(min_value=-8, max_value=8, max_denominator=8).map(str),
+    st.integers(-9000, 9000).map(lambda e: f"1e{e}"),
+    st.text(max_size=12),
+    st.sampled_from([
+        DEEP, BIG, f"[{BIG}]", f"[[{BIG}]]", f'{{"inverted_primes":[{BIG}]}}',
+        '{"inverted_primes":[3317044064679887385961981]}', '{"inverted_primes":[4]}',
+        '{"formula": 1, "result": [1]}', '{"formula": 1, "result": {}}',
+        '{"formula": %s}' % DEEP, "0,1e4300", "1e-4300,1", "0,1;1", "[1,", ";",
+    ]),
+)
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_fuzzed_command_lines_end_in_a_report_or_a_structured_error(tmp_path, data):
+    name = data.draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [name]
+    for flag, kwargs in COMMANDS[name].arguments:
+        if data.draw(st.sampled_from([True] * 7 + [False])):  # may drop a required flag
+            if kwargs.get("type") is int:  # small, so no run builds much
+                value = data.draw(st.integers(-1, 1))
+            else:
+                value = data.draw(st.one_of(st.sampled_from(FUZZ_VALID[flag]), FUZZ_MALFORMED))
+            argv.append(f"{flag}={value}")
+    out = data.draw(st.sampled_from([None] * 3 + [tmp_path, tmp_path / "missing" / "r.json"]))
+    if out is not None:
+        argv.append(f"--out={out}")
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2  # an argparse usage error
+        return
+    payload = json.loads(stdout.getvalue())  # exactly one JSON object
+    if code == 0:
+        assert out is None and "result" in payload
+    else:
+        assert code in (3, 4, 5)
+        assert set(payload["error"]) == {"code", "message"}

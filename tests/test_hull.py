@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from baryalg import linalg
+from baryalg import hull, linalg
 from baryalg.hull import (
     HullError,
     TSegment,
@@ -364,6 +364,24 @@ def test_closure_engine_monotone():
     ]
     assert by_rounds[0] <= by_rounds[1] <= by_rounds[2]
     assert set(base) <= by_depth[0]
+
+
+def test_closure_refuses_more_than_max_points(monkeypatch):
+    base = _points([0], [3])
+    # from {0, 3} at depth 1: 3 points on the m = 1 line, 7 on m = 3
+    monkeypatch.setattr(hull, "MAX_CLOSURE_POINTS", 10)
+    assert len(segment_closure_bounded(base, DYADIC, 1, 1)) == 7
+    monkeypatch.setattr(hull, "MAX_CLOSURE_POINTS", 9)
+    with pytest.raises(HullError):
+        segment_closure_bounded(base, DYADIC, 1, 1)
+    monkeypatch.undo()
+    # one slice of 6**8 + 1 points, refused before it is built
+    with pytest.raises(HullError):
+        segment_closure_bounded(base, RingSpec([2, 3]), 8, 1)
+    # refused before 2**(10**12) is computed; one point has no slices
+    with pytest.raises(HullError):
+        segment_closure_bounded(base, DYADIC, 10**12, 1)
+    assert segment_closure_bounded(_points([0]), DYADIC, 10**12, 1) == {(F(0),)}
 
 
 def test_random_ring_terms_live_in_ring_hull():

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from baryalg.scalar import (
     DYADIC,
+    MAX_EXPONENT,
+    PRIME_LIMIT,
     RingSpec,
     ScalarError,
     format_rational,
@@ -14,6 +16,7 @@ from baryalg.scalar import (
     ring_contains,
     s_free_part,
     smallest_inverted_prime,
+    _is_prime,
 )
 
 
@@ -95,6 +98,31 @@ def test_rational_string_roundtrip():
         parse_rational("1/0")
     with pytest.raises(ScalarError):
         parse_rational("0.5x")
+
+
+def test_scalar_size_limits():
+    assert parse_rational(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    assert parse_rational(f"-2.5E-{MAX_EXPONENT}") == Fraction(-25, 10 ** (MAX_EXPONENT + 1))
+    for text in (f"1e{MAX_EXPONENT + 1}", "1e-99999999", "1e1_0000_0000", "1e" + "9" * 5000):
+        with pytest.raises(ScalarError):
+            parse_rational(text)
+    with pytest.raises(ScalarError):
+        format_rational(Fraction(10**5000))
+    with pytest.raises(ScalarError):
+        RingSpec([PRIME_LIMIT])
+    with pytest.raises(ScalarError):
+        RingSpec.from_json('{"inverted_primes": [%s]}' % ("7" * 5000))
+
+
+def test_primality_is_exact_on_strong_pseudoprimes():
+    assert RingSpec([10**16 + 61, 2**61 - 1]).inverted_primes == (10**16 + 61, 2**61 - 1)
+    # a Carmichael number, and the least strong pseudoprimes to bases 2-7,
+    # 2-23 and 2-37; the last is why base 41 is among the witnesses
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ScalarError):
+            RingSpec([n])
+    primes = [n for n in range(2, 3000) if trial_factorization(n) == {n: 1}]
+    assert [n for n in range(3000) if _is_prime(n)] == primes
 
 
 def test_reduced_form_canonicity():
