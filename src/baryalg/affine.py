@@ -11,12 +11,12 @@ groups of polyhedra", 2014): the projection G onto the row space of the
 centred vertex matrix, which every invertible affine map preserves up to
 the vertex bijection it induces.  The same witness, restricted to the
 polytope, is an isomorphism of the associated barycentric algebras for any
-coefficient ring, which the decision procedure additionally spot-checks.
+coefficient ring: an affine map commutes with every barycentric operation
+by construction (see iso_decide).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .hull import VPolytope, hull_member_Q
 from .mode import Point, as_point, bary_op
-from .scalar import RingSpec, smallest_inverted_prime
+from .scalar import RingSpec
 
 
 class AffineError(ValueError):
@@ -71,58 +71,62 @@ class AffineMap:
         return AffineMap(inv, shift)
 
 
-def _difference_matrix(points: list[Point]) -> list[list[Fraction]]:
-    base = points[0]
-    return [[c - b for c, b in zip(q, base)] for q in points[1:]]
+def _points(points: Sequence[Sequence]) -> list[Point]:
+    pts = [as_point(q) for q in points]
+    if not pts:
+        raise AffineError("empty point list")
+    if any(len(q) != len(pts[0]) for q in pts):
+        raise AffineError("inconsistent point dimensions")
+    return pts
+
+
+def _difference_columns(pts: list[Point], tail: int = 0) -> list[list[Fraction]]:
+    """The matrix whose columns are the differences from the first point,
+    followed by the first tail standard basis vectors."""
+    base = pts[0]
+    return [
+        [q[r] - base[r] for q in pts[1:]] + [Fraction(int(r == j)) for j in range(tail)]
+        for r in range(len(base))
+    ]
 
 
 def affine_independent(points: Sequence[Sequence]) -> bool:
     """True iff the difference vectors from the first point are independent."""
-    pts = [as_point(q) for q in points]
-    if not pts:
-        raise AffineError("empty point list")
-    diffs = _difference_matrix(pts)
-    return linalg.rank(diffs) == len(diffs)
+    pts = _points(points)
+    return linalg.rank(_difference_columns(pts)) == len(pts) - 1
 
 
 def max_independent_subset(points: Sequence[Sequence]) -> list[int]:
     """Greedy maximal affinely independent sub-list, in input order.
 
+    A point joins exactly when its difference from the first point is not
+    in the span of the earlier differences, which makes its column a pivot.
     All maximal independent subsets of a set share one size (one more than
     the affine dimension), so the greedy result has canonical length.
     """
-    pts = [as_point(q) for q in points]
-    if not pts:
-        raise AffineError("empty point list")
-    chosen = [0]
-    for i in range(1, len(pts)):
-        candidate = [pts[j] for j in chosen] + [pts[i]]
-        if affine_independent(candidate):
-            chosen.append(i)
-    return chosen
+    pivots = linalg.rref(_difference_columns(_points(points)))[1]
+    return [0] + [j + 1 for j in pivots]
 
 
 def extend_to_basis(points: Sequence[Sequence], dimension: int) -> list[Point]:
     """Extend an independent list to an affine basis of the ambient space,
-    using offsets of the first point by standard basis vectors."""
-    pts = [as_point(q) for q in points]
-    if not affine_independent(pts):
-        raise AffineError("input points are affinely dependent")
+    using offsets of the first point by standard basis vectors.
+
+    The pivots of [differences | e_1..e_n] past the differences are the
+    axes a greedy pass in axis order would add; the points are independent
+    iff every difference column is a pivot.
+    """
+    pts = _points(points)
     if any(len(q) != dimension for q in pts):
         raise AffineError("points do not live in the requested dimension")
-    base = pts[0]
-    out = list(pts)
-    for axis in range(dimension):
-        if len(out) == dimension + 1:
-            break
-        candidate = tuple(
-            c + (1 if j == axis else 0) for j, c in enumerate(base)
-        )
-        if affine_independent(out + [candidate]):
-            out.append(candidate)
-    if len(out) != dimension + 1:
-        raise AffineError(f"no affine basis of dimension {dimension} extends the points")
-    return out
+    k = len(pts) - 1
+    pivots = linalg.rref(_difference_columns(pts, dimension))[1]
+    if pivots[:k] != list(range(k)):
+        raise AffineError("input points are affinely dependent")
+    return pts + [
+        tuple(c + (1 if j == axis - k else 0) for j, c in enumerate(pts[0]))
+        for axis in pivots[k:]
+    ]
 
 
 def map_from_correspondence(
@@ -134,28 +138,27 @@ def map_from_correspondence(
     invertible iff dst is also independent, and None reports the
     non-invertible case.
     """
-    s = [as_point(q) for q in src]
-    d = [as_point(q) for q in dst]
+    s, d = _points(src), _points(dst)
     n = len(s[0])
     if len(s) != n + 1 or len(d) != n + 1:
         raise AffineError(f"need exactly {n + 1} source and target points")
-    if not affine_independent(s):
-        raise AffineError("source points are affinely dependent")
-    if not affine_independent(d):
-        return None
     # A maps difference vectors of src to those of dst: row-reducing the
-    # stacked difference rows [S^T | D^T] leaves A^T in the right block.
+    # stacked difference rows [S^T | D^T] leaves A^T in the right block
+    # when the left block reduces to the identity.
     aug = [
         [s[i + 1][r] - s[0][r] for r in range(n)]
         + [d[i + 1][r] - d[0][r] for r in range(n)]
         for i in range(n)
     ]
-    red, _, rk = linalg.rref(aug)
-    if rk != n:
-        raise AffineError("source difference vectors are dependent")
+    red, pivots, _ = linalg.rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise AffineError("source points are affinely dependent")
     a = [[red[c][n + r] for c in range(n)] for r in range(n)]
     b = [d[0][r] - sum(a[r][j] * s[0][j] for j in range(n)) for r in range(n)]
-    return AffineMap(a, b)
+    try:
+        return AffineMap(a, b)
+    except AffineError:  # A is singular exactly when dst is dependent
+        return None
 
 
 @dataclass(frozen=True)
@@ -251,21 +254,10 @@ class IsoVerdict:
     witness: Optional[AffineMap]
     reason: str
     rationale: str
-    homomorphism_samples: int
-    homomorphism_exact: bool
 
-
-def _random_hull_point(rng: random.Random, polytope: VPolytope) -> Point:
-    gens = polytope.generators
-    weights = [Fraction(rng.randint(0, 8)) for _ in gens]
-    total = sum(weights)
-    if total == 0:
-        return gens[0]
-    weights = [w / total for w in weights]
-    dim = polytope.dimension
-    return tuple(
-        sum((w * g[i] for w, g in zip(weights, gens)), Fraction(0)) for i in range(dim)
-    )
+    #: Always True, and not a field: the witness commutes with every
+    #: operation by construction (see iso_decide).  Kept for old callers.
+    homomorphism_exact = True
 
 
 def iso_decide(
@@ -277,44 +269,28 @@ def iso_decide(
 ) -> IsoVerdict:
     """Decide isomorphism of the two ring-coefficient barycentric algebras.
 
-    Over the rationals this coincides with affine equivalence of the
-    polytopes, and the witness map restricted to the left polytope is the
-    isomorphism.  The witness is additionally spot-checked to commute with
-    the barycentric operations exactly on random samples.
+    By the paper's theorem, for convex subsets of Q^n and any coefficient
+    ring other than Z (a RingSpec always inverts a prime), the barycentric
+    algebras are isomorphic exactly when an affine automorphism of Q^n maps
+    one set onto the other; over Q this needs neither boundedness nor equal
+    dimension.  So the verdict, reason and witness are those of
+    affine_equivalence.  The witness restricted to the left polytope is the
+    isomorphism: x -> Ax + b commutes with x y p = (1-p)x + py because the
+    weights 1-p and p sum to 1, so nothing is left to check.  samples and
+    seed are accepted for old callers and unused.
     """
     verdict = affine_equivalence(left, right)
-    if not verdict.equivalent:
-        return IsoVerdict(
-            False,
-            None,
-            verdict.reason,
-            "no invertible affine map carries one polytope onto the other, "
-            "so the barycentric algebras cannot be isomorphic",
-            0,
-            True,
+    if verdict.equivalent:
+        rationale = (
+            "the affine witness restricted to the polytope is an isomorphism of "
+            "the barycentric algebras; operations commute with it exactly"
         )
-    rng = random.Random(seed)
-    psi = verdict.witness
-    p = smallest_inverted_prime(ring)
-    exact = True
-    for _ in range(samples):
-        x = _random_hull_point(rng, left)
-        y = _random_hull_point(rng, left)
-        exp = rng.randint(1, 3)
-        num = rng.randint(1, p**exp - 1)
-        param = Fraction(num, p**exp)
-        if psi.apply(bary_op(x, y, param)) != bary_op(psi.apply(x), psi.apply(y), param):
-            exact = False
-            break
-    return IsoVerdict(
-        True,
-        psi,
-        verdict.reason,
-        "the affine witness restricted to the polytope is an isomorphism of "
-        "the barycentric algebras; operations commute with it exactly",
-        samples,
-        exact,
-    )
+    else:
+        rationale = (
+            "no invertible affine map carries one polytope onto the other, "
+            "so the barycentric algebras cannot be isomorphic"
+        )
+    return IsoVerdict(verdict.equivalent, verdict.witness, verdict.reason, rationale)
 
 
 HEXAGON = (

@@ -160,6 +160,13 @@ def _count(opts, key: str, least: int) -> int:
     return value
 
 
+def _unused_samples(opts) -> None:
+    """--samples and --seed are accepted for old command lines and unused;
+    a negative --samples is still refused."""
+    if opts["samples"] is not None:
+        _count(opts, "samples", 0)
+
+
 def _fmt_point(point: Sequence[Fraction]) -> list[str]:
     return [format_rational(c) for c in point]
 
@@ -283,10 +290,20 @@ def _random_point(rng: random.Random, dim: int) -> tuple[Fraction, ...]:
     )
 
 
+#: Most samples x dim that laws-check runs, since its cost grows linearly in
+#: both.  The README's 500 samples at the default dimension 2 is at the bound.
+MAX_LAWS_CHECK_WORK = 1000
+
+
 def _cmd_laws_check(opts) -> dict:
     rng = random.Random(opts["seed"])
     dim = _count(opts, "dim", 1)
     samples = _count(opts, "samples", 0)
+    if samples * dim > MAX_LAWS_CHECK_WORK:
+        raise CliError(
+            "bad-input",
+            f"--samples times --dim must be at most {MAX_LAWS_CHECK_WORK}, got {samples * dim}",
+        )
     checked: dict[str, int] = {}
     violations = []
     not_applicable = 0
@@ -330,9 +347,7 @@ def _cmd_probe_convexity(opts) -> dict:
     ring = _parse_ring(opts["ring"])
     points = _parse_point_set(opts["set"])
     _require_same_dimension(points)
-    # --samples and --seed are accepted for old command lines, and unused
-    if opts["samples"] is not None:
-        _count(opts, "samples", 0)
+    _unused_samples(opts)
     report = hull.q_convexity_probe(points, ring)
     witness = None
     if report.witness is not None:
@@ -369,17 +384,13 @@ def _cmd_affine_equiv(opts) -> dict:
 def _cmd_iso_check(opts) -> dict:
     left, right = _load_polytopes(opts)
     ring = _parse_ring(opts["ring"])
-    samples = _count(opts, "samples", 0)
-    verdict = affine.iso_decide(left, right, ring, samples=samples, seed=opts["seed"])
+    _unused_samples(opts)
+    verdict = affine.iso_decide(left, right, ring)
     return {
         "isomorphic": verdict.isomorphic,
         "reason": verdict.reason,
         "witness": _fmt_map(verdict.witness),
         "rationale": verdict.rationale,
-        "homomorphism_check": {
-            "samples": verdict.homomorphism_samples,
-            "exact": verdict.homomorphism_exact,
-        },
     }
 
 
@@ -473,7 +484,7 @@ COMMANDS = {
         "coincides with affine equivalence, the witness map restricted to the "
         "polytope being the isomorphism",
         (("--left", _REQUIRED), ("--right", _REQUIRED), ("--ring", _REQUIRED),
-         ("--samples", {"type": int, "default": 25}), ("--seed", _REQUIRED_INT)),
+         ("--samples", _UNUSED_INT), ("--seed", _UNUSED_INT)),
     ),
     "hexagon-demo": Command(
         _cmd_hexagon_demo, "shared-midpoint hexagon demonstration",

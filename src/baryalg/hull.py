@@ -288,9 +288,6 @@ class VPolytope:
         diffs = [[c - b for c, b in zip(g, base)] for g in self.generators[1:]]
         return linalg.rank(diffs) if diffs else 0
 
-    def contains(self, point: Sequence) -> bool:
-        return hull_member_Q(point, self.generators) is not None
-
 
 # ---------------------------------------------------------------------------
 # T-segments and the bounded closure engine
@@ -376,7 +373,8 @@ def segment_closure_bounded(
     to line_bound.  Monotone in depth, rounds, and line_bound; the result
     always stays inside the real convex hull of the input.  A closure that
     would generate more than MAX_CLOSURE_POINTS points is refused with
-    HullError before the slice that crosses the limit is built.
+    HullError before the round that crosses the limit builds any point:
+    each round's slices are counted by _slice arithmetic first.
     """
     current = set(_check_points(points))
     too_many = f"the closure would generate more than {MAX_CLOSURE_POINTS} points"
@@ -386,15 +384,20 @@ def segment_closure_bounded(
     explored = rounds > 0 and len(current) > 1 and line_bound > 0
     if explored and depth >= MAX_CLOSURE_POINTS.bit_length():
         raise HullError(too_many)
+
+    def segments():
+        for c, d in itertools.combinations(sorted(current), 2):
+            yield from _ring_lines(c, d, ring, line_bound)
+
     generated = 0
     for _ in range(rounds):
+        for seg in segments():
+            generated += len(_slice(seg, ring, depth)[1])
+            if generated > MAX_CLOSURE_POINTS:
+                raise HullError(too_many)
         additions: set[Point] = set()
-        for c, d in itertools.combinations(sorted(current), 2):
-            for seg in _ring_lines(c, d, ring, line_bound):
-                generated += len(_slice(seg, ring, depth)[1])
-                if generated > MAX_CLOSURE_POINTS:
-                    raise HullError(too_many)
-                additions.update(t_segment_points(seg, ring, depth))
+        for seg in segments():
+            additions.update(t_segment_points(seg, ring, depth))
         current |= additions
     return current
 

@@ -39,6 +39,9 @@ def test_affine_independent_examples():
     assert affine_independent(_pts((4, 5)))
     with pytest.raises(AffineError):
         affine_independent([])
+    for helper in (affine_independent, max_independent_subset):
+        with pytest.raises(AffineError):
+            helper(_pts((0, 0), (1,), (0, 1)))
 
 
 def test_independence_matches_span_condition():
@@ -90,6 +93,48 @@ def test_extend_to_basis_examples():
     assert len(extended) == 3 and affine_independent(extended)
     with pytest.raises(AffineError):
         extend_to_basis(_pts((0,), (1,), (2,)), 1)
+
+
+def _greedy_subset(pts):
+    chosen = [0]
+    for i in range(1, len(pts)):
+        if affine_independent([pts[j] for j in chosen] + [pts[i]]):
+            chosen.append(i)
+    return chosen
+
+
+def _greedy_basis(pts, n):
+    out = list(pts)
+    for axis in range(n):
+        candidate = tuple(c + (1 if j == axis else 0) for j, c in enumerate(pts[0]))
+        if len(out) <= n and affine_independent(out + [candidate]):
+            out.append(candidate)
+    return out
+
+
+def test_helpers_make_the_greedy_choice():
+    # points on a random flat of each dimension 0..n, with repeats
+    rng = random.Random(59)
+    for case in range(400):
+        n = rng.randint(1, 4)
+        flat_dim = case % (n + 1)
+        directions = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(flat_dim)]
+        origin = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        pts = [
+            tuple(o + sum((w * d[r] for w, d in zip(weights, directions)), F(0))
+                  for r, o in enumerate(origin))
+            for weights in ([F(rng.randint(-2, 2)) for _ in directions]
+                            for _ in range(rng.randint(1, 6)))
+        ]
+        pts += [rng.choice(pts) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(pts)
+        chosen = max_independent_subset(pts)
+        assert chosen == _greedy_subset(pts)
+        anchor = [pts[i] for i in chosen]
+        assert extend_to_basis(anchor, n) == _greedy_basis(anchor, n)
+        if len(chosen) < len(pts):
+            with pytest.raises(AffineError):
+                extend_to_basis(pts, n)
 
 
 def test_affine_map_validation_and_inverse():

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from baryalg import affine
+from baryalg import affine, cli
 from baryalg.cli import COMMANDS, main
 
 DYADIC_RING = '{"inverted_primes":[2]}'
@@ -128,6 +128,20 @@ def test_laws_check_command(capsys):
     assert report["result"]["violations"] == []
 
 
+def test_laws_check_work_is_bounded(capsys, monkeypatch):
+    assert cli.MAX_LAWS_CHECK_WORK == 1000  # the README's --samples 500 at dim 2
+    for extra in (["--samples", "501"], ["--samples", "1", "--dim", "1001"]):
+        code, report = run_cli(capsys, "laws-check", "--seed", "4", *extra)
+        assert code == 3
+        assert report["error"]["code"] == "bad-input"
+    monkeypatch.setattr(cli, "MAX_LAWS_CHECK_WORK", 4)
+    code, report = run_cli(capsys, "laws-check", "--samples", "2", "--seed", "4")
+    assert code == 0 and report["result"]["samples"] == 2
+    code, report = run_cli(capsys, "laws-check", "--samples", "2", "--seed", "4", "--dim", "3")
+    assert code == 3
+    assert report["error"]["code"] == "bad-input"
+
+
 def test_laws_check_requires_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["laws-check", "--samples", "10"])
@@ -201,13 +215,22 @@ def test_iso_check_command(capsys):
         '[["0"],["3"]]',
         "--ring",
         DYADIC_RING,
-        "--seed",
-        "2",
     )
     assert code == 0
-    assert report["result"]["isomorphic"] is True
-    assert report["result"]["witness"] == {"matrix": [["3"]], "translation": ["0"]}
-    assert report["result"]["homomorphism_check"]["exact"] is True
+    assert report["result"] == {
+        "isomorphic": True,
+        "reason": "witness-found",
+        "witness": {"matrix": [["3"]], "translation": ["0"]},
+        "rationale": "the affine witness restricted to the polytope is an isomorphism "
+        "of the barycentric algebras; operations commute with it exactly",
+    }
+    # the unused sampling flags still parse
+    code, again = run_cli(
+        capsys, "iso-check", "--left", '[["0"],["1"]]', "--right", '[["0"],["3"]]',
+        "--ring", DYADIC_RING, "--samples=5", "--seed=2",
+    )
+    assert code == 0
+    assert again["result"] == report["result"]
 
 
 def test_iso_check_not_isomorphic_exits_zero(capsys):

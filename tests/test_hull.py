@@ -384,6 +384,28 @@ def test_closure_refuses_more_than_max_points(monkeypatch):
     assert segment_closure_bounded(_points([0]), DYADIC, 10**12, 1) == {(F(0),)}
 
 
+def test_refused_closure_round_builds_no_point(monkeypatch):
+    built = []
+    original = hull.t_segment_points
+
+    def counting(seg, ring, depth):
+        built.append(seg)
+        return original(seg, ring, depth)
+
+    monkeypatch.setattr(hull, "t_segment_points", counting)
+    base = _points([0], [3])
+    # the slice on line m has 4m + 1 points, so the odd lines m <= 707
+    # already pass the limit, and none of them is built
+    with pytest.raises(HullError):
+        segment_closure_bounded(base, DYADIC, 2, 1, line_bound=10**9)
+    assert built == []
+    # round 1 builds its 3 + 7 points on two lines; round 2 is refused whole
+    monkeypatch.setattr(hull, "MAX_CLOSURE_POINTS", 10)
+    with pytest.raises(HullError):
+        segment_closure_bounded(base, DYADIC, 1, 2)
+    assert len(built) == 2
+
+
 def test_random_ring_terms_live_in_ring_hull():
     # coefficient vectors of ring-parameter terms are accepted by the
     # ring-hull membership decision
