@@ -13,6 +13,7 @@ error codes of each command and the size limits behind the refusals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -537,8 +538,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of build_parser(), built on first use: parse_args leaves it
+#: unchanged, so one instance serves every main() call in the process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     options = {
         k: v
         for k, v in vars(args).items()

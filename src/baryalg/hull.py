@@ -385,20 +385,17 @@ def segment_closure_bounded(
     if explored and depth >= MAX_CLOSURE_POINTS.bit_length():
         raise HullError(too_many)
 
-    def segments():
-        for c, d in itertools.combinations(sorted(current), 2):
-            yield from _ring_lines(c, d, ring, line_bound)
-
     generated = 0
     for _ in range(rounds):
-        for seg in segments():
-            generated += len(_slice(seg, ring, depth)[1])
-            if generated > MAX_CLOSURE_POINTS:
-                raise HullError(too_many)
-        additions: set[Point] = set()
-        for seg in segments():
-            additions.update(t_segment_points(seg, ring, depth))
-        current |= additions
+        segments = []
+        for c, d in itertools.combinations(sorted(current), 2):
+            for seg in _ring_lines(c, d, ring, line_bound):
+                generated += len(_slice(seg, ring, depth)[1])
+                if generated > MAX_CLOSURE_POINTS:
+                    raise HullError(too_many)
+                segments.append(seg)
+        for seg in segments:
+            current.update(t_segment_points(seg, ring, depth))
     return current
 
 

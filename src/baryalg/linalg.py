@@ -5,14 +5,18 @@ solving, Smith normal form with unimodular transforms, and exact linear
 feasibility with witnesses and Farkas certificates.  Feasibility and
 optimization share one two-phase simplex in standard form whose Bland
 pivoting rule cannot cycle; an infeasible system gets its certificate from
-the phase-1 duals.
+the phase-1 duals.  The simplex pivots in Python ints (see _Simplex), so
+Fractions appear only in what it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
+
+from .scalar import integer_row
 
 QVector = list[Fraction]
 QMatrix = list[list[Fraction]]
@@ -317,23 +321,30 @@ class _Simplex:
     inequality gets a slack column.  Rows are negated where needed so that
     b >= 0, and one artificial column per row forms the starting basis.
     Column layout: structural, slacks, artificials, right-hand side.
+    Entries are ints: a row R, divided by its gcd, stands for R / R[basic],
+    its basic entry being its positive scale, and the objective is the int
+    row `obj` over the positive denominator `den`.
     """
 
     def __init__(self, constraints: Sequence[LinearConstraint], num_vars: int):
         self.num_vars = num_vars
         self.num_constraints = len(constraints)
         self.bounds: dict[int, tuple[int, Fraction]] = {}  # var -> (index, a_j)
-        self.rows = []  # kept rows: (constraint index, a, b, is_inequality)
+        # kept rows (constraint index, scale, a, b, is_inequality): a.x <= b is
+        # the oriented row times scale, the lcm of its denominators
+        self.rows = []
         for i, con in enumerate(constraints):
             if len(con.coeffs) != num_vars:
                 raise LinalgError("constraint arity mismatch")
-            a, b = con.oriented()
+            orient = -1 if con.rel == ">=" else 1
+            scale, ints = integer_row(con.coeffs + (con.rhs,))
+            *a, b = (orient * x for x in ints)
             support = [j for j, c in enumerate(a) if c != 0]
             inequality = con.rel != "=="
             if inequality and b == 0 and len(support) == 1 and support[0] not in self.bounds:
-                self.bounds[support[0]] = (i, a[support[0]])
+                self.bounds[support[0]] = (i, orient * con.coeffs[support[0]])
             else:
-                self.rows.append((i, a, b, inequality))
+                self.rows.append((i, scale, a, b, inequality))
         self.columns: list[tuple[int, int]] = []  # (j, sign): x_j = sum sign * y
         for j in range(num_vars):
             if j in self.bounds:
@@ -341,65 +352,74 @@ class _Simplex:
             else:
                 self.columns += [(j, 1), (j, -1)]
         slack = len(self.columns)
-        self.art_at = slack + sum(1 for row in self.rows if row[3])
+        self.art_at = slack + sum(1 for row in self.rows if row[4])
         self.ncols = self.art_at + len(self.rows)
         self.sigma = []
         self.tableau = []
-        for r, (_, a, b, inequality) in enumerate(self.rows):
+        for r, (_, scale, a, b, inequality) in enumerate(self.rows):
             sigma = -1 if b < 0 else 1
             row = [sigma * s * a[j] for j, s in self.columns]
-            row += [Fraction(0)] * (self.ncols - len(self.columns)) + [sigma * b]
+            row += [0] * (self.ncols - len(self.columns)) + [sigma * b]
             if inequality:
-                row[slack] = Fraction(sigma)
+                row[slack] = sigma * scale
                 slack += 1
-            row[self.art_at + r] = Fraction(1)
+            row[self.art_at + r] = scale
             self.sigma.append(sigma)
             self.tableau.append(row)
         self.basis = [self.art_at + r for r in range(len(self.rows))]
 
-    def _pivot(self, r, c, obj):
+    def _pivot(self, r, c):
+        """Make column c basic in row r, whose entry there must be positive."""
         row = self.tableau[r]
-        inv = Fraction(1) / row[c]
-        self.tableau[r] = row = [x * inv for x in row]
+        p = row[c]
         for i, other in enumerate(self.tableau):
-            if i != r and other[c] != 0:
-                f = other[c]
-                self.tableau[i] = [a - f * b for a, b in zip(other, row)]
-        if obj[c] != 0:
-            f = obj[c]
-            obj[:] = [a - f * b for a, b in zip(obj, row)]
+            f = other[c]
+            if f != 0 and i != r:
+                new = [p * x - f * y for x, y in zip(other, row)]
+                g = gcd(*new)
+                self.tableau[i] = [x // g for x in new] if g > 1 else new
         self.basis[r] = c
 
-    def _bland(self, obj, allowed_cols):
+    def _price_out(self, row, c):
+        """Zero the objective's entry in column c, row's basic column."""
+        f = self.obj[c]
+        if f != 0:
+            p = row[c]
+            obj = [p * x - f * y for x, y in zip(self.obj, row)]
+            g = gcd(p * self.den, *obj)
+            self.obj, self.den = [x // g for x in obj], p * self.den // g
+
+    def _minimize(self, costs, allowed_cols) -> str:
+        """Minimize costs . y from the current basis by Bland's rule."""
+        self.den, self.obj = integer_row(costs)
+        for row, b in zip(self.tableau, self.basis):
+            self._price_out(row, b)
         while True:
-            entering = next((j for j in allowed_cols if obj[j] < 0), None)
+            entering = next((j for j in allowed_cols if self.obj[j] < 0), None)
             if entering is None:
                 return "optimal"
             best = None
             for i, row in enumerate(self.tableau):
                 coef = row[entering]
-                if coef > 0:
-                    key = (row[-1] / coef, self.basis[i])
-                    if best is None or key < best[0]:
-                        best = (key, i)
+                if coef > 0 and (
+                    best is None
+                    # the ratio row[-1] / coef, cross-multiplied; ties by basis
+                    or (row[-1] * self.tableau[best][entering], self.basis[i])
+                    < (self.tableau[best][-1] * coef, self.basis[best])
+                ):
+                    best = i
             if best is None:
                 return "unbounded"
-            self._pivot(best[1], entering, obj)
+            self._pivot(best, entering)
+            self._price_out(self.tableau[best], entering)
 
     def phase1(self) -> Fraction:
         """Minimize the sum of the artificials and return that minimum.
 
         The objective is bounded below by 0, so Bland's rule ends optimal.
         """
-        obj = [
-            -sum((row[j] for row in self.tableau), Fraction(0))
-            for j in range(self.ncols + 1)
-        ]
-        for r in range(len(self.tableau)):
-            obj[self.art_at + r] = Fraction(0)
-        self._bland(obj, range(self.ncols))
-        self.phase1_obj = obj
-        return -obj[-1]
+        self._minimize([0] * self.art_at + [1] * len(self.rows) + [0], range(self.ncols))
+        return Fraction(-self.obj[-1], self.den)
 
     def certificate(self) -> tuple[Fraction, ...]:
         """Farkas multipliers over the original constraints, after phase 1.
@@ -408,23 +428,24 @@ class _Simplex:
         row signs, u = sigma * y satisfies u.A_k <= 0 on every column and
         u.b > 0.  Kept row i takes -u_i (>= 0 on inequalities, by the slack
         columns) and the bound row a_j x_j <= 0 takes sum_i u_i a_ij / a_j,
-        which cancels x_j and is >= 0 by the sign of x_j's column.
+        which cancels x_j and is >= 0 by the sign of x_j's column.  That
+        column's entries are sign * sigma_i * a_ij, so the sum is -sign times
+        its reduced cost.
         """
-        u = [
-            s * (1 - self.phase1_obj[self.art_at + r]) for r, s in enumerate(self.sigma)
-        ]
         cert = [Fraction(0)] * self.num_constraints
-        for u_r, (i, _, _, _) in zip(u, self.rows):
-            cert[i] = -u_r
-        for j, (i, a_j) in self.bounds.items():
-            column = (u_r * a[j] for u_r, (_, a, _, _) in zip(u, self.rows))
-            cert[i] = sum(column, Fraction(0)) / a_j
+        for r, (i, *_) in enumerate(self.rows):
+            cert[i] = Fraction(self.sigma[r] * (self.obj[self.art_at + r] - self.den), self.den)
+        for k, (j, sign) in enumerate(self.columns):
+            if j in self.bounds:
+                i, a_j = self.bounds[j]
+                cert[i] = Fraction(-sign * self.obj[k], self.den) / a_j
         return tuple(cert)
 
     def drop_artificials(self):
         """Pivot the zero-level artificials left by phase 1 out of the basis.
 
-        A row with no other nonzero entry is redundant: phase 2 enters only
+        Such a row's right-hand side is 0, so negating it keeps it valid.  A
+        row with no other nonzero entry is redundant: phase 2 enters only
         non-artificial columns, so it never pivots on that row.
         """
         for r, b in enumerate(self.basis):
@@ -432,25 +453,21 @@ class _Simplex:
                 continue
             col = next((j for j in range(self.art_at) if self.tableau[r][j] != 0), None)
             if col is not None:
-                self._pivot(r, col, [Fraction(0)] * (self.ncols + 1))
+                if self.tableau[r][col] < 0:
+                    self.tableau[r] = [-x for x in self.tableau[r]]
+                self._pivot(r, col)
 
     def phase2(self, objective) -> str:
         """Minimize objective . x over the feasible set left by phase 1."""
         costs = [s * objective[j] for j, s in self.columns]
-        costs += [Fraction(0)] * (self.ncols + 1 - len(costs))
-        obj = list(costs)
-        for row, b in zip(self.tableau, self.basis):
-            if costs[b] != 0:
-                f = costs[b]
-                obj = [o - f * t for o, t in zip(obj, row)]
-        return self._bland(obj, range(self.art_at))
+        return self._minimize(costs + [0] * (self.ncols + 1 - len(costs)), range(self.art_at))
 
     def witness(self) -> tuple[Fraction, ...]:
         x = [Fraction(0)] * self.num_vars
         for row, b in zip(self.tableau, self.basis):
             if b < len(self.columns):
                 j, sign = self.columns[b]
-                x[j] += sign * row[-1]
+                x[j] += sign * Fraction(row[-1], row[b])
         return tuple(x)
 
 

@@ -472,6 +472,32 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["result"]["holds"] is True
 
 
+def test_one_parser_serves_every_call_like_fresh_processes(capsys, monkeypatch):
+    # main() reuses one parser per process; after argparse rejects a call or
+    # prints help, the next call must still behave as in a fresh process
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ["closure", "--set", "[[0]]"],
+        ["eval-term", "--help"],
+        ["--version"],
+        ["hexagon-demo"],
+    ]
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "baryalg", *argv], capture_output=True, text=True
+        )
+        assert (code, captured.out, captured.err) == (
+            proc.returncode,
+            proc.stdout,
+            proc.stderr,
+        )
+
+
 DEEP = "[" * 3000 + "]" * 3000
 BIG = "7" * 5000
 SET_2D = '[["0","0"],["1","0"],["0","1"]]'

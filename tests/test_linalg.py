@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baryalg import linalg
 from baryalg.linalg import (
     InfeasibleSystemError,
     LinearConstraint,
@@ -287,19 +289,20 @@ def test_relative_interior_point():
     assert point[0] == 0 and 0 < point[1] < 1
 
 
-def _brute_force_feasible(cons, num_vars):
-    """Vertex-enumeration oracle inside a huge box."""
-    box = []
-    for i in range(num_vars):
-        unit = [F(int(j == i)) for j in range(num_vars)]
-        box.append(LinearConstraint(unit, "<=", 10**6))
-        box.append(LinearConstraint(unit, ">=", -(10**6)))
+def _oriented_rows(cons):
+    """(a, b) meaning a.x <= b, for both directions of each equality."""
     rows = []
-    for con in cons + box:
+    for con in cons:
         a, b = con.oriented()
         rows.append((list(a), b))
         if con.rel == "==":
             rows.append(([-c for c in a], -b))
+    return rows
+
+
+def _basic_feasible_points(cons, num_vars):
+    """Every feasible point where num_vars independent rows are tight."""
+    rows = _oriented_rows(cons)
     for subset in itertools.combinations(range(len(rows)), num_vars):
         m = [rows[i][0] for i in subset]
         b = [rows[i][1] for i in subset]
@@ -307,13 +310,48 @@ def _brute_force_feasible(cons, num_vars):
         if solved is None or solved[1]:
             continue
         candidate = solved[0]
-        if all(c.satisfied_by(candidate) for c in cons + box):
-            return True
-    return False
+        if all(c.satisfied_by(candidate) for c in cons):
+            yield candidate
+
+
+def _brute_force_feasible(cons, num_vars):
+    """Vertex-enumeration oracle inside a huge box."""
+    box = []
+    for i in range(num_vars):
+        unit = [F(int(j == i)) for j in range(num_vars)]
+        box.append(LinearConstraint(unit, "<=", 10**6))
+        box.append(LinearConstraint(unit, ">=", -(10**6)))
+    return next(_basic_feasible_points(cons + box, num_vars), None) is not None
+
+
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), F(0))
+
+
+def _brute_force_extremum(cons, objective, maximize):
+    """(status, value) on a feasible pointed system, by enumeration.
+
+    The recession cone {d : a.d <= 0 on every oriented row} is pointed, so
+    it is spanned by its extreme rays, each cut out by num_vars - 1
+    independent tight rows; the problem is unbounded iff one of them
+    improves the objective.  Otherwise a vertex is optimal.
+    """
+    n, sign = len(objective), 1 if maximize else -1
+    rows = [a for a, _ in _oriented_rows(cons)]
+    for subset in itertools.combinations(rows, n - 1):
+        kernel = solve_affine(list(subset), [0] * len(subset))[1] if subset else [[F(1)]]
+        if len(kernel) != 1:
+            continue
+        for ray in (kernel[0], [-x for x in kernel[0]]):
+            if all(_dot(a, ray) <= 0 for a in rows) and sign * _dot(objective, ray) > 0:
+                return "unbounded", None
+    values = [_dot(objective, p) for p in _basic_feasible_points(cons, n)]
+    return "optimal", max(values) if maximize else min(values)
 
 
 def test_lp_agrees_with_vertex_enumeration():
     rng = random.Random(77)
+    pointed = 0
     for _ in range(60):
         num_vars = rng.randint(1, 4)
         cons = []
@@ -336,13 +374,18 @@ def test_lp_agrees_with_vertex_enumeration():
         if res.feasible:
             assert all(c.satisfied_by(res.witness) for c in cons)
             objective = [F(rng.randint(-3, 3)) for _ in range(num_vars)]
-            status, value, optimum = lp_extremum(cons, objective, rng.random() < 0.5)
+            maximize = rng.random() < 0.5
+            status, value, optimum = lp_extremum(cons, objective, maximize)
             assert status in ("optimal", "unbounded")
+            if rref([con.coeffs for con in cons])[2] == num_vars:  # pointed
+                pointed += 1
+                assert (status, value) == _brute_force_extremum(cons, objective, maximize)
             if status == "optimal":
                 assert all(c.satisfied_by(optimum) for c in cons)
                 assert value == sum((a * x for a, x in zip(objective, optimum)), F(0))
         else:
             assert verify_farkas_certificate(cons, res.certificate)
+    assert pointed >= 15
 
 
 @settings(max_examples=40, deadline=None)
@@ -350,3 +393,163 @@ def test_lp_agrees_with_vertex_enumeration():
 def test_digonal_snf_property(entries):
     mat = [entries[:2], entries[2:]]
     _snf_invariants(mat)
+
+
+def _pinned_systems():
+    """(constraints, objective) pairs whose LP outputs are pinned below.
+
+    The named ones cover, in order: denominators 7 and 11 in one row; a
+    negative right-hand side, whose row is negated; a duplicated equality
+    row, which phase 1 leaves with a basic artificial; a ratio-test tie;
+    a degenerate system whose basic artificial drop_artificials pivots out
+    on a negative entry; and an infeasible row with denominators 7 and 11.
+    The seeded ones mix all of these.
+    """
+    x_pos = [LinearConstraint([1, 0], ">=", 0), LinearConstraint([0, 1], ">=", 0)]
+    systems = [
+        ([LinearConstraint([F(1, 7), F(3, 11)], "<=", 1)] + x_pos, [1, 1]),
+        (
+            [
+                LinearConstraint([1, 1], ">=", 2),
+                LinearConstraint([1, -1], "<=", F(-1, 2)),
+                LinearConstraint([1, 0], "<=", 3),
+            ],
+            [1, 2],
+        ),
+        (
+            [
+                LinearConstraint([1, 1], "==", 1),
+                LinearConstraint([-2, -2], "==", -2),
+                LinearConstraint([1, -1], "<=", F(1, 3)),
+            ]
+            + x_pos,
+            [2, 1],
+        ),
+        (
+            [LinearConstraint([1, 1], "<=", 1), LinearConstraint([1, 2], "<=", 1)]
+            + x_pos,
+            [1, 1],
+        ),
+        (
+            [
+                LinearConstraint([0, 1], ">=", 0),
+                LinearConstraint([-1, 1], "==", 1),
+                LinearConstraint([-2, 1], ">=", -1),
+                LinearConstraint([F(-1, 2), 1], "==", 1),
+                LinearConstraint([-1, -3], ">=", -3),
+            ],
+            [-1, 3],
+        ),
+        (
+            [
+                LinearConstraint([F(1, 7), F(3, 11)], ">=", 2),
+                LinearConstraint([1, 0], "<=", 1),
+                LinearConstraint([0, 1], "<=", 1),
+            ]
+            + x_pos,
+            [1, 1],
+        ),
+    ]
+    rng = random.Random(1414)
+    coeffs = [F(0), F(1), F(-1), F(2), F(1, 7), F(3, 11), F(-5, 3), F(1, 2)]
+    rhs = [F(0), F(1), F(-2), F(1, 7), F(-3, 11), F(4)]
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        cons = []
+        for _ in range(rng.randint(1, 5)):
+            a, rel, b = [rng.choice(coeffs) for _ in range(n)], rng.choice(["<=", ">=", "=="]), rng.choice(rhs)
+            cons.append(LinearConstraint(a, rel, b))
+            if rel == "==" and rng.random() < 0.5:
+                k = rng.choice([F(1), F(2), F(-1, 3)])
+                cons.append(LinearConstraint([k * c for c in a], "==", k * b))
+        for j in range(n):
+            if rng.random() < 0.6:
+                cons.append(LinearConstraint([F(int(i == j)) for i in range(n)], ">=", 0))
+        systems.append((cons, [rng.choice(coeffs) for _ in range(n)]))
+    return systems
+
+
+def _pinned_lp_outputs():
+    outputs = []
+    for cons, objective in _pinned_systems():
+        res = lp_feasible(cons, len(objective))
+        row = [res.witness, res.certificate]
+        row += [lp_extremum(cons, objective, maximize) for maximize in (True, False)]
+        try:
+            row.append(relative_interior_point(cons))
+        except InfeasibleSystemError:
+            row.append("infeasible")
+        outputs.append(row)
+    return outputs
+
+
+def test_lp_outputs_are_pinned():
+    outputs = _pinned_lp_outputs()
+    named = [
+        [
+            (F(7), F(0)),
+            None,
+            ("optimal", F(7), (F(7), F(0))),
+            ("optimal", F(0), (F(0), F(0))),
+            (F(7, 3), F(11, 9)),
+        ],
+        [
+            (F(3), F(7, 2)),
+            None,
+            ("unbounded", None, None),
+            ("optimal", F(13, 4), (F(3, 4), F(5, 4))),
+            (F(8, 3), F(7, 2)),
+        ],
+        [
+            (F(2, 3), F(1, 3)),
+            None,
+            ("optimal", F(5, 3), (F(2, 3), F(1, 3))),
+            ("optimal", F(1), (F(0), F(1))),
+            (F(1, 3), F(2, 3)),
+        ],
+        [
+            (F(1), F(0)),
+            None,
+            ("optimal", F(1), (F(1), F(0))),
+            ("optimal", F(0), (F(0), F(0))),
+            (F(1, 3), F(1, 6)),
+        ],
+        [
+            (F(0), F(1)),
+            None,
+            ("optimal", F(3), (F(0), F(1))),
+            ("optimal", F(3), (F(0), F(1))),
+            (F(0), F(1)),
+        ],
+        [
+            None,
+            (F(1), F(1, 7), F(3, 11), F(0), F(0)),
+            ("infeasible", None, None),
+            ("infeasible", None, None),
+            "infeasible",
+        ],
+    ]
+    assert outputs[: len(named)] == named
+    seeded = repr(outputs[len(named) :]).encode()
+    assert hashlib.sha256(seeded).hexdigest() == (
+        "af89ff8ee3a198cad9e3fed7b09a8229d5b7f4b1d1862100aded8b832ca90a0d"
+    )
+
+
+def test_simplex_tableau_holds_only_ints(monkeypatch):
+    made = []
+
+    class Recorded(linalg._Simplex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(linalg, "_Simplex", Recorded)
+    named = _pinned_systems()[:6]
+    for cons, objective in named:
+        lp_feasible(cons)
+        lp_extremum(cons, objective, True)
+    assert len(made) == 2 * len(named)
+    for sx in made:
+        entries = [x for row in sx.tableau for x in row] + [*sx.obj, sx.den]
+        assert all(type(x) is int for x in entries)
