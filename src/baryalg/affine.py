@@ -194,6 +194,24 @@ def _gram(vertices: Sequence[Point]) -> list[list[Fraction]]:
     ]
 
 
+def _anchor_images(anchor_idx, lg, rg, l_rows, r_rows, chosen: list[int]):
+    """Right index tuples extending `chosen` whose G block matches the anchor's.
+
+    Depth-first in increasing index order: lexicographic over tuples.  A
+    module-level generator rather than a closure, so that a search leaves no
+    reference cycle behind.
+    """
+    if len(chosen) == len(anchor_idx):
+        yield chosen
+        return
+    a = anchor_idx[len(chosen)]
+    for j in range(len(r_rows)):
+        if j not in chosen and r_rows[j] == l_rows[a] and all(
+            rg[j][c] == lg[a][b] for b, c in zip(anchor_idx, chosen)
+        ):
+            yield from _anchor_images(anchor_idx, lg, rg, l_rows, r_rows, chosen + [j])
+
+
 def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
     """Decide whether an invertible affine map carries left onto right.
 
@@ -223,19 +241,7 @@ def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
     anchor = [lv[i] for i in anchor_idx]
     src_basis = extend_to_basis(anchor, n)
 
-    def images(chosen: list[int]):
-        # Depth-first in increasing index order: lexicographic over tuples.
-        if len(chosen) == len(anchor_idx):
-            yield chosen
-            return
-        a = anchor_idx[len(chosen)]
-        for j in range(len(rv)):
-            if j not in chosen and r_rows[j] == l_rows[a] and all(
-                rg[j][c] == lg[a][b] for b, c in zip(anchor_idx, chosen)
-            ):
-                yield from images(chosen + [j])
-
-    for perm in images([]):
+    for perm in _anchor_images(anchor_idx, lg, rg, l_rows, r_rows, []):
         # candidate has the anchor's G block, so it is independent like the anchor
         candidate = [rv[i] for i in perm]
         dst_basis = extend_to_basis(candidate, n)

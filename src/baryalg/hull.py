@@ -35,6 +35,9 @@ from .scalar import (
 )
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class HullError(ValueError):
     pass
 
@@ -77,10 +80,10 @@ def _membership_constraints(d: Point, pts: list[Point]) -> list[LinearConstraint
         rows.append(
             LinearConstraint([p[coord] for p in pts], "==", d[coord])
         )
-    rows.append(LinearConstraint([1] * m, "==", 1))
+    rows.append(LinearConstraint([_ONE] * m, "==", _ONE))
     for i in range(m):
         rows.append(
-            LinearConstraint([Fraction(int(j == i)) for j in range(m)], ">=", 0)
+            LinearConstraint([_ONE if j == i else _ZERO for j in range(m)], ">=", _ZERO)
         )
     return rows
 

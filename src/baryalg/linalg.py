@@ -243,6 +243,11 @@ def smith_normal_form(
 RELATIONS = ("<=", ">=", "==")
 
 
+def _exact(value) -> Fraction:
+    """`value` as a Fraction; one that already is a Fraction is kept as it is."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     """An exact constraint sum(coeffs * x) rel rhs with rel in {<=, >=, ==}."""
@@ -254,9 +259,9 @@ class LinearConstraint:
     def __init__(self, coeffs: Sequence, rel: str, rhs):
         if rel not in RELATIONS:
             raise LinalgError(f"unknown relation {rel!r}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple([_exact(c) for c in coeffs]))
         object.__setattr__(self, "rel", rel)
-        object.__setattr__(self, "rhs", Fraction(rhs))
+        object.__setattr__(self, "rhs", _exact(rhs))
 
     def oriented(self) -> tuple[tuple[Fraction, ...], Fraction]:
         """The constraint as (a, b) meaning a.x <= b; >= rows are negated."""

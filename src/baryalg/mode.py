@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .scalar import format_rational, parse_rational
+from .scalar import format_rational, integer_row, parse_rational
 
 Point = tuple[Fraction, ...]
 
@@ -141,6 +141,12 @@ class LawReport:
         return not self.violations
 
 
+def _scaled_op(u: Sequence[int], v: Sequence[int], a: int, e: int) -> tuple[int, ...]:
+    """(e - a)u + av: the operation with parameter a/e on integer points, times e."""
+    b = e - a
+    return tuple([b * s + a * t for s, t in zip(u, v)])
+
+
 def check_laws(sample: Sequence[Sequence], parameters: Sequence) -> LawReport:
     """Verify the groupoid laws exactly on all combinations of the sample.
 
@@ -148,6 +154,16 @@ def check_laws(sample: Sequence[Sequence], parameters: Sequence) -> LawReport:
     x y p = y x (1-p); the entropic law
     (x y p)(z t p) q = (x z q)(y t q) p; and cancellativity
     x y p = x z p implies y = z for p != 0.
+
+    The laws are checked in integers over one common denominator.  With D
+    the lcm of the sample's coordinate denominators and E that of the
+    parameters', a point is X/D and a parameter is a/E, for an integer
+    tuple X and an integer a.  The table entry
+    P_a[i][j] = _scaled_op(X_i, X_j, a, E) = (E-a)X_i + aX_j is x_i x_j p
+    over D*E, and an outer operation on two entries is over D*E^2.  Both
+    sides of each law are at the same scale, so every law is an equality
+    of integer tuples.  Violation witnesses are the sample's points and
+    parameters as Fractions.
     """
     points = [as_point(s) for s in sample]
     if not points:
@@ -157,35 +173,59 @@ def check_laws(sample: Sequence[Sequence], parameters: Sequence) -> LawReport:
         checked={"idempotence": 0, "commutativity": 0, "entropic": 0, "cancellativity": 0},
         violations=[],
     )
-    for p in params:
-        for x in points:
-            report.checked["idempotence"] += 1
-            if bary_op(x, x, p) != x:
-                report.violations.append(("idempotence", (x, p)))
-        for x in points:
-            for y in points:
-                report.checked["commutativity"] += 1
-                if bary_op(x, y, p) != bary_op(y, x, 1 - p):
-                    report.violations.append(("commutativity", (x, y, p)))
-        for x in points:
-            for y in points:
-                for z in points:
-                    if p == 0:
-                        report.cancellation_not_applicable += 1
-                        continue
-                    report.checked["cancellativity"] += 1
-                    if bary_op(x, y, p) == bary_op(x, z, p) and y != z:
-                        report.violations.append(("cancellativity", (x, y, z, p)))
-        for q in params:
-            for x in points:
-                for y in points:
-                    for z in points:
-                        for t in points:
-                            report.checked["entropic"] += 1
-                            lhs = bary_op(bary_op(x, y, p), bary_op(z, t, p), q)
-                            rhs = bary_op(bary_op(x, z, q), bary_op(y, t, q), p)
-                            if lhs != rhs:
-                                report.violations.append(("entropic", (x, y, z, t, p, q)))
+    if not params:
+        return report
+    dim = len(points[0])
+    for y in points:
+        if len(y) != dim:
+            raise ModeError(f"dimension mismatch: {dim} vs {len(y)}")
+    n = len(points)
+    _, flat = integer_row([c for x in points for c in x])
+    scaled = [flat[i * dim : (i + 1) * dim] for i in range(n)]
+    e, weights = integer_row(params)
+    tables = {}
+    for a in weights:
+        for w in (a, e - a):
+            if w not in tables:
+                tables[w] = [[_scaled_op(u, v, w, e) for v in scaled] for u in scaled]
+    idx = range(n)
+    violations = report.violations
+    for p, a in zip(params, weights):
+        table, twisted = tables[a], tables[e - a]
+        report.checked["idempotence"] += n
+        for i in idx:
+            if table[i][i] != tuple([e * c for c in scaled[i]]):
+                violations.append(("idempotence", (points[i], p)))
+        report.checked["commutativity"] += n * n
+        for i in idx:
+            for j in idx:
+                if table[i][j] != twisted[j][i]:
+                    violations.append(("commutativity", (points[i], points[j], p)))
+        if a == 0:
+            report.cancellation_not_applicable += n**3
+        else:
+            report.checked["cancellativity"] += n**3
+            for i in idx:
+                row = table[i]
+                for j in idx:
+                    for k in idx:
+                        if row[j] == row[k] and scaled[j] != scaled[k]:
+                            violations.append(
+                                ("cancellativity", (points[i], points[j], points[k], p))
+                            )
+        for q, b in zip(params, weights):
+            other = tables[b]
+            report.checked["entropic"] += n**4
+            for i in idx:
+                for j in idx:
+                    pij = table[i][j]
+                    for k in idx:
+                        qik = other[i][k]
+                        for l in idx:
+                            lhs = _scaled_op(pij, table[k][l], b, e)
+                            if lhs != _scaled_op(qik, other[j][l], a, e):
+                                witness = (points[i], points[j], points[k], points[l], p, q)
+                                violations.append(("entropic", witness))
     return report
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -187,6 +188,18 @@ def test_affine_equivalence_square_parallelogram():
     psi = verdict.witness
     assert {psi.apply(v) for v in UNIT_SQUARE} == set(PARALLELOGRAM)
     assert psi.inverse() is not None
+
+
+def test_affine_equivalence_leaves_no_reference_cycle():
+    left, right = VPolytope(UNIT_SQUARE), VPolytope(PARALLELOGRAM)
+    gc.collect()
+    gc.disable()
+    try:
+        verdict = affine_equivalence(left, right)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert verdict.equivalent
 
 
 def test_affine_equivalence_vertex_count_mismatch():

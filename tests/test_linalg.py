@@ -141,6 +141,20 @@ def test_snf_keeps_entries_small():
     assert time.perf_counter() - started < 1
 
 
+def test_linear_constraint_keeps_fractions_and_converts_the_rest():
+    half = F(1, 2)
+    con = LinearConstraint([half, 2, "3/4", True], "<=", half)
+    assert con.coeffs == (F(1, 2), F(2), F(3, 4), F(1))
+    assert all(type(c) is F for c in con.coeffs)
+    assert con.coeffs[0] is half and con.rhs is half
+    assert LinearConstraint([1], ">=", -3).rhs == F(-3)
+    for coeffs, rhs in ((["x"], 0), ([None], 0), ([1], "y")):
+        with pytest.raises((TypeError, ValueError)):
+            LinearConstraint(coeffs, "<=", rhs)
+    with pytest.raises(linalg.LinalgError):
+        LinearConstraint([1], "<", 0)
+
+
 def test_lp_feasible_interval():
     cons = [
         LinearConstraint([1], ">=", 0),

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baryalg import mode
 from baryalg.mode import (
+    LawReport,
     Leaf,
     ModeError,
     Node,
+    as_point,
     bary_op,
     check_laws,
     division_point_relations,
@@ -107,6 +111,130 @@ def test_check_laws_zero_parameter_skips_cancellation():
     assert report.ok
     assert report.cancellation_not_applicable > 0
     assert report.checked["cancellativity"] == 0
+
+
+def _reference_laws(sample, parameters):
+    """The law check as a plain loop of bary_op calls: the reference for check_laws."""
+    points = [as_point(s) for s in sample]
+    if not points:
+        raise ModeError("empty sample")
+    params = [F(p) for p in parameters]
+    names = ("idempotence", "commutativity", "entropic", "cancellativity")
+    report = LawReport({name: 0 for name in names}, [])
+
+    def law(name, holds, witness):
+        report.checked[name] += 1
+        if not holds:
+            report.violations.append((name, witness))
+
+    for p in params:
+        for x in points:
+            law("idempotence", bary_op(x, x, p) == x, (x, p))
+        for x, y in product(points, repeat=2):
+            law("commutativity", bary_op(x, y, p) == bary_op(y, x, 1 - p), (x, y, p))
+        for x, y, z in product(points, repeat=3):
+            if p == 0:
+                report.cancellation_not_applicable += 1
+            else:
+                holds = bary_op(x, y, p) != bary_op(x, z, p) or y == z
+                law("cancellativity", holds, (x, y, z, p))
+        for q in params:
+            for x, y, z, t in product(points, repeat=4):
+                lhs = bary_op(bary_op(x, y, p), bary_op(z, t, p), q)
+                rhs = bary_op(bary_op(x, z, q), bary_op(y, t, q), p)
+                law("entropic", lhs == rhs, (x, y, z, t, p, q))
+    return report
+
+
+#: Parameters 0, 1, negative, above 1, with mixed denominators, as
+#: Fractions, ints and strings.
+_PARAMETER_POOL = [F(0), 1, F(1, 2), "1/2", F(1, 12), F(2, 7), F(-1, 3), F(5, 4), -2, "7/3"]
+
+
+def _random_coordinate(rng):
+    # a Fraction, a string such as "3/4", or an int when integral
+    c = F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7, 12]))
+    return rng.choice([c, str(c), int(c) if c.denominator == 1 else c])
+
+
+def _random_law_sample(rng):
+    dim = rng.randint(0, 3)
+    # the reference makes 6 n^4 m^2 bary_op calls; keep that small
+    n = rng.choice([1, 1, 2, 2, 2, 3, 3, 3, 4])
+    m = rng.choice({1: [1, 2, 3, 4], 2: [1, 2, 3], 3: [1, 1, 1, 2], 4: [1]}[n])
+    distinct = [[_random_coordinate(rng) for _ in range(dim)] for _ in range(n)]
+    # draw with replacement, so samples repeat points (y == z in cancellativity)
+    points = [rng.choice(distinct) for _ in range(n)]
+    params = [rng.choice(_PARAMETER_POOL) for _ in range(m)]
+    return points, params
+
+
+def test_check_laws_matches_bary_op_reference():
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(200):
+        points, params = _random_law_sample(rng)
+        report = check_laws(points, params)
+        expected = _reference_laws(points, params)
+        assert report == expected
+        assert list(report.checked) == list(expected.checked)
+        exact = [F(p) for p in params]
+        seen.add(f"dim {len(points[0])}")
+        seen.add("repeated points" * (len(set(map(tuple, points))) < len(points)))
+        seen.add("duplicated parameters" * (len(set(exact)) < len(exact)))
+        seen.add("mixed denominators" * (len({p.denominator for p in exact} - {1}) > 1))
+    assert {"dim 0", "dim 1", "dim 2", "dim 3", "repeated points"} <= seen
+    assert {"duplicated parameters", "mixed denominators"} <= seen
+
+
+def test_check_laws_edge_cases_match_reference():
+    for points, params in [
+        ([(0,), (1, 2)], []),
+        ([(0,), (1, 2)], [F(1, 2)]),
+        ([(0,), (1,), (1, 2, 3)], [F(1, 3), 0]),
+        ([(), (1,)], [1]),
+        ([], [F(1, 2)]),
+        ([], []),
+    ]:
+        try:
+            expected = _reference_laws(points, params)
+        except ModeError as exc:
+            with pytest.raises(ModeError) as raised:
+                check_laws(points, params)
+            assert str(raised.value) == str(exc)
+        else:
+            assert check_laws(points, params) == expected
+    with pytest.raises(ModeError, match="^dimension mismatch: 1 vs 3$"):
+        check_laws([(0,), (1,), (1, 2, 3)], [F(1, 3)])
+    with pytest.raises(ModeError, match="^empty sample$"):
+        check_laws([], [])
+    assert check_laws([(0,), (1, 2)], []).checked == dict.fromkeys(
+        ("idempotence", "commutativity", "entropic", "cancellativity"), 0
+    )
+
+
+def test_check_laws_reports_a_wrong_operation(monkeypatch):
+    # (e - a)u + av + a: a translation by the weight, which is neither
+    # idempotent, twisted commutative for p != 1/2, nor entropic for p != q
+    def shifted(u, v, a, e):
+        return tuple((e - a) * s + a * t + a for s, t in zip(u, v))
+
+    monkeypatch.setattr(mode, "_scaled_op", shifted)
+    x, y = (F(0),), (F(1),)
+    p, q = F(1, 3), F(1, 2)
+    report = check_laws([(0,), (1,)], ["1/3", q])
+    assert not report.ok
+    by_law = {}
+    for law, witness in report.violations:
+        by_law.setdefault(law, []).append(witness)
+    assert by_law["commutativity"] == [(a, b, p) for a, b in product([x, y], repeat=2)]
+    assert len(by_law["entropic"]) == 2 * 2**4
+    assert by_law["entropic"][0] == (x, x, x, x, p, q)
+    assert by_law["entropic"][-1] == (y, y, y, y, q, p)
+    for witness in by_law["commutativity"] + by_law["entropic"]:
+        values = [c for w in witness for c in (w if isinstance(w, tuple) else (w,))]
+        assert all(type(c) is F for c in values)
+    assert "cancellativity" not in by_law
 
 
 def test_division_point_examples():
