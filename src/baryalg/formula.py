@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .hull import hull_member_Q, hull_member_T
 from .mode import Point, as_point
@@ -87,69 +89,118 @@ class ChainFormula:
     relations: tuple[Relation, ...]
     structure: Optional[SynthNode] = field(default=None, compare=False)
 
+    @cached_property
+    def _solution(self) -> "_Solution":
+        """The system solved once over the symbols x_0..x_{k-1}, y.
+
+        The bindings and relations are eliminated with input j bound to the
+        unit form x_j; then the output binding u_out = y is reduced against
+        the same pivots.  Only that last row mentions y, so a condition with
+        a y term is what is left of it, and the relations alone fix every
+        variable exactly when it is the one condition and no variable is
+        free.
+        """
+        k = self.arity
+        units = [tuple([int(t == j) for t in range(k + 1)]) for j in range(k + 1)]
+        equations = _equations(self, units)
+        equations.append(({self.output_var: 1}, units[k]))
+        pivots, order, conditions = _eliminate(equations)
+        determined = len(pivots) == self.num_vars and [c[k] != 0 for c in conditions] == [True]
+        forms = _back_substitute(self.num_vars, pivots, order, k + 1)
+        return _Solution(forms, tuple(conditions), determined)
+
+
+class _Solution(NamedTuple):
+    """A formula's system solved symbolically, as integer forms.
+
+    A form is an integer vector over x_0..x_{k-1}, y.  forms[v] is
+    (form, denominator) with u_v = form / denominator, free variables 0;
+    the system is consistent exactly where every condition form vanishes.
+    determined says that the bindings and relations alone fix every
+    variable, so no form of a variable mentions y.
+    """
+
+    forms: list[tuple[tuple[int, ...], int]]
+    conditions: tuple[tuple[int, ...], ...]
+    determined: bool
+
 
 # ---------------------------------------------------------------------------
-# Shared exact solver for the affine constraint systems
+# Exact solver for the affine constraint systems
 # ---------------------------------------------------------------------------
 
 
-def _solve_equations(num_vars: int, equations, veclen: int):
-    """Solve a sparse exact linear system whose unknowns are vectors.
+def _reduce(row: dict[int, int], rhs: tuple[int, ...], pivots) -> tuple[dict[int, int], tuple[int, ...]]:
+    """Reduce one integer row against the stored pivot rows.
 
-    equations: (dict variable -> int coefficient, int rhs vector) pairs, as
-    built by _equations.  Returns (values, free_variables) or None when
-    inconsistent; values maps every variable to a tuple of Fractions, and
-    free variables share one zero vector.
-
-    Gaussian elimination in row order: a row is reduced against the stored
-    pivot rows, smallest pivot column first, and what is left becomes the
-    pivot row of its smallest column.  The arithmetic is fraction-free
-    (Bareiss 1968): with pivot entry a and row entry f, g = gcd(a, f),
+    The row (dict variable -> coefficient) and its right-hand side vector are
+    reduced, smallest pivot column first, until no pivot column is left in
+    the row.  The arithmetic is fraction-free (Bareiss 1968): with pivot
+    entry a and row entry f, g = gcd(a, f),
     row := (a/g) row - (f/g) pivot_row, and after every step the row is
     divided by the gcd of its coefficients and right-hand side (its
     content), which keeps the integers small.  Every integer row is a
     nonzero multiple of the row that elimination over Q would hold, so the
-    pivots, and the solution, are the same.  Back substitution keeps each
-    value as an integer vector over one denominator and turns it into
-    Fractions only at the end.
+    pivots, and the solution, are the same.
+    """
+    row = {c: v for c, v in row.items() if v}
+    while True:
+        content = gcd(*row.values(), *rhs)
+        if content > 1:
+            row = {c: v // content for c, v in row.items()}
+            rhs = tuple([x // content for x in rhs])
+        piv = min((c for c in row if c in pivots), default=None)
+        if piv is None:
+            return row, rhs
+        f = row.pop(piv)
+        prow, prhs = pivots[piv]
+        a = prow[piv]
+        g = gcd(a, f)
+        s, t = a // g, f // g
+        if s != 1:
+            row = {c: s * v for c, v in row.items()}
+        for c, v in prow.items():
+            if c != piv:
+                nv = row.get(c, 0) - t * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+        rhs = tuple([s * x - t * y for x, y in zip(rhs, prhs)])
+
+
+def _eliminate(equations):
+    """Gaussian elimination of (row, rhs) pairs in order, as built by _equations.
+
+    Each reduced row that is left nonzero becomes the pivot row of its
+    smallest column.  Returns (pivots, order, conditions): pivots maps a
+    column to its row, order lists the pivot columns as they were made, and
+    conditions holds the right-hand side of every row that reduced to zero
+    with a nonzero right-hand side, each a form that must vanish for the
+    system to be consistent.
     """
     pivots: dict[int, tuple[dict[int, int], tuple[int, ...]]] = {}
     order: list[int] = []
-    for row_in, rhs in equations:
-        row = {c: v for c, v in row_in.items() if v}
-        while True:
-            content = gcd(*row.values(), *rhs)
-            if content > 1:
-                row = {c: v // content for c, v in row.items()}
-                rhs = tuple([x // content for x in rhs])
-            piv = min((c for c in row if c in pivots), default=None)
-            if piv is None:
-                break
-            f = row.pop(piv)
-            prow, prhs = pivots[piv]
-            a = prow[piv]
-            g = gcd(a, f)
-            s, t = a // g, f // g
-            if s != 1:
-                row = {c: s * v for c, v in row.items()}
-            for c, v in prow.items():
-                if c != piv:
-                    nv = row.get(c, 0) - t * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-            rhs = tuple([s * x - t * y for x, y in zip(rhs, prhs)])
-        if not row:
-            if any(rhs):
-                return None
-            continue
-        col = min(row)
-        pivots[col] = (row, rhs)
-        order.append(col)
-    free = [v for v in range(num_vars) if v not in pivots]
+    conditions: list[tuple[int, ...]] = []
+    for row, rhs in equations:
+        row, rhs = _reduce(row, rhs, pivots)
+        if row:
+            col = min(row)
+            pivots[col] = (row, rhs)
+            order.append(col)
+        elif any(rhs):
+            conditions.append(rhs)
+    return pivots, order, conditions
+
+
+def _back_substitute(num_vars: int, pivots, order: list[int], veclen: int):
+    """Each variable as (integer vector, denominator), free variables 0.
+
+    Pivot rows are solved in reverse order of creation; every value stays an
+    integer vector over one denominator, reduced by its gcd.
+    """
     zero = (tuple([0] * veclen), 1)
-    scaled: dict[int, tuple[tuple[int, ...], int]] = {v: zero for v in free}
+    scaled: list[tuple[tuple[int, ...], int]] = [zero] * num_vars
     for col in reversed(order):
         prow, prhs = pivots[col]
         den = 1
@@ -165,12 +216,7 @@ def _solve_equations(num_vars: int, equations, veclen: int):
         den *= prow[col]
         g = gcd(den, *acc)
         scaled[col] = (tuple([x // g for x in acc]), den // g)
-    zero_fractions = tuple([Fraction(0)] * veclen)
-    values = {
-        v: zero_fractions if sv is zero else tuple([Fraction(n, sv[1]) for n in sv[0]])
-        for v, sv in scaled.items()
-    }
-    return values, free
+    return scaled
 
 
 def _equations(phi: ChainFormula, inputs: Sequence[tuple]):
@@ -319,7 +365,7 @@ def synth_phi(xi: Sequence, ring: RingSpec) -> ChainFormula:
 
 
 def verify_phi(phi: ChainFormula, xi: Sequence) -> bool:
-    """Re-solve the constraint system symbolically and compare with xi.
+    """Compare the symbolically solved output with xi.
 
     True iff the bindings and relations determine every existential variable
     uniquely from x_0..x_k and the solved output equals sum(xi_i x_i)
@@ -328,18 +374,27 @@ def verify_phi(phi: ChainFormula, xi: Sequence) -> bool:
     coeffs = tuple(Fraction(c) for c in xi)
     if len(coeffs) != phi.arity:
         raise FormulaError("coefficient count does not match formula arity")
-    solved = solved_coefficients(phi)
-    return solved is not None and solved[phi.output_var] == coeffs
+    solution = phi._solution
+    if not solution.determined:
+        return False
+    nums, den = solution.forms[phi.output_var]
+    return all(Fraction(n, den) == c for n, c in zip(nums, coeffs))
 
 
 def solved_coefficients(phi: ChainFormula) -> Optional[dict[int, tuple[Fraction, ...]]]:
     """Each existential variable as an affine combination of the inputs."""
-    k = phi.arity
-    units = [tuple(Fraction(int(t == j)) for t in range(k)) for j in range(k)]
-    solved = _solve_equations(phi.num_vars, _equations(phi, units), k)
-    if solved is None or solved[1]:
+    solution = phi._solution
+    if not solution.determined:
         return None
-    return solved[0]
+    k = phi.arity
+    return {
+        v: tuple([Fraction(n, den) for n in nums[:k]])
+        for v, (nums, den) in enumerate(solution.forms)
+    }
+
+
+def _dot(form: Sequence[int], values: Sequence[int]) -> int:
+    return sum(map(operator.mul, form, values))
 
 
 def check_satisfaction(
@@ -347,9 +402,11 @@ def check_satisfaction(
 ) -> Optional[dict[int, Point]]:
     """Witness assignment for the existential variables, or None.
 
-    All relations are affine, so satisfaction reduces to exact consistency
-    of a linear system; by construction this holds exactly when
-    b = sum(xi_i * points_i) for the coefficients the formula encodes.
+    All relations are affine, so satisfaction is the vanishing of the
+    formula's cached condition forms at the points and b, and the witness
+    is its cached variable forms evaluated there; by construction this
+    holds exactly when b = sum(xi_i * points_i) for the coefficients the
+    formula encodes.  Each coordinate is scaled to integers once.
     """
     pts = [as_point(q) for q in points]
     target = as_point(b)
@@ -358,13 +415,14 @@ def check_satisfaction(
     dim = len(target)
     if any(len(q) != dim for q in pts):
         raise FormulaError("inconsistent point dimensions")
-    eqs = _equations(phi, pts)
-    d, rhs = integer_row(target)
-    eqs.append(({phi.output_var: d}, rhs))
-    solved = _solve_equations(phi.num_vars, eqs, dim)
-    if solved is None:
+    solution = phi._solution
+    columns = [integer_row([q[t] for q in pts] + [target[t]]) for t in range(dim)]
+    if any(_dot(c, values) for _, values in columns for c in solution.conditions):
         return None
-    return {v: solved[0][v] for v in range(phi.num_vars)}
+    return {
+        v: tuple([Fraction(_dot(nums, values), den * d) for d, values in columns])
+        for v, (nums, den) in enumerate(solution.forms)
+    }
 
 
 def membership_in_convex(

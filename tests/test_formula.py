@@ -10,8 +10,9 @@ from baryalg.formula import (
     ChainFormula,
     FormulaError,
     Relation,
+    _back_substitute,
+    _eliminate,
     _equations,
-    _solve_equations,
     check_satisfaction,
     format_formula,
     formula_from_json,
@@ -330,10 +331,34 @@ def test_synthesis_solves_no_system(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("synth_phi must not solve a system")
 
-    monkeypatch.setattr(formula_module, "_solve_equations", refuse)
+    monkeypatch.setattr(formula_module, "_eliminate", refuse)
     for ring in (DYADIC, RING3, RingSpec([11]), RingSpec([31])):
         for xi in _large_prime_vectors():
             synth_phi(xi, ring)
+
+
+def test_each_formula_is_eliminated_once(monkeypatch):
+    import baryalg.formula as formula_module
+
+    calls = []
+
+    def counting(equations):
+        calls.append(1)
+        return _eliminate(equations)
+
+    monkeypatch.setattr(formula_module, "_eliminate", counting)
+    xi = [F(-1, 2), F(3, 4), F(3, 4)]
+    phi = synth_phi(xi, RING3)
+    points = [(F(1), F(2)), (F(-3, 2), F(0)), (F(5), F(1, 3))]
+    target = tuple(sum((c * q[t] for c, q in zip(xi, points)), F(0)) for t in range(2))
+    assert verify_phi(phi, xi)
+    assert solved_coefficients(phi)[phi.output_var] == tuple(xi)
+    assert check_satisfaction(phi, points, target) is not None
+    assert check_satisfaction(phi, points, (target[0] + 1, target[1])) is None
+    assert len(calls) == 1
+    copy = formula_from_json(formula_to_json(phi))
+    assert verify_phi(copy, xi)
+    assert len(calls) == 2
 
 
 
@@ -430,7 +455,12 @@ def _assert_solves(phi, values, inputs):
 def test_solver_agrees_with_dense_solve(phi, data):
     k = phi.arity
     units = [tuple(F(int(t == j)) for t in range(k)) for j in range(k)]
-    solved = _solve_equations(phi.num_vars, _equations(phi, units), k)
+    pivots, order, conditions = _eliminate(_equations(phi, units))
+    solved = None
+    if not conditions:
+        forms = _back_substitute(phi.num_vars, pivots, order, k)
+        values = {v: tuple(F(n, den) for n in nums) for v, (nums, den) in enumerate(forms)}
+        solved = values, [v for v in range(phi.num_vars) if v not in pivots]
     dense = _dense_solutions(phi, units, k)
     assert (solved is not None) == all(d is not None for d in dense)
     rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -444,10 +474,13 @@ def test_solver_agrees_with_dense_solve(phi, data):
         _assert_solves(phi, values, units)
         if not kernel:
             assert all(values[v][t] == dense[t][0][v] for t in range(k) for v in values)
+        assert solved_coefficients(phi) == (None if kernel else values)
         if data.draw(st.booleans()):
             # the particular solution's output is a target the formula meets
             coeffs = values[phi.output_var]
             target = tuple(sum((c * q[i] for c, q in zip(coeffs, points)), F(0)) for i in range(dim))
+    else:
+        assert solved_coefficients(phi) is None
     witness = check_satisfaction(phi, points, target)
     dense = _dense_solutions(phi, points, dim, target)
     assert (witness is not None) == all(d is not None for d in dense)
