@@ -45,8 +45,12 @@ class FormulaError(ValueError):
 
 #: Most variables (and, for parsed JSON, relations) a formula may have.  The
 #: solver's time and memory grow with formula size, and a chain has about as
-#: many variables as its scaled denominator; at this size verify_phi takes
-#: about a second over the dyadics.
+#: many variables as its scaled denominator.  At this size, on Python 3.11 and
+#: one core of a 2-vCPU machine, verify_phi took 0.8 s on a two-coefficient
+#: chain over the dyadics or over Z[1/19997], but 25 s on the five-coefficient
+#: [20/11, 13/11, -19/11, -19/11, 16/11] over Z[1/3767] (39401 variables):
+#: the reversed relations of a chain much longer than 2p reduce to rows of
+#: thousands of bits.
 MAX_FORMULA_VARIABLES = 40_000
 
 
@@ -134,7 +138,7 @@ def _reduce(row: dict[int, int], rhs: tuple[int, ...], pivots) -> tuple[dict[int
     """Reduce one integer row against the stored pivot rows.
 
     The row (dict variable -> coefficient) and its right-hand side vector are
-    reduced, smallest pivot column first, until no pivot column is left in
+    reduced, largest pivot column first, until no pivot column is left in
     the row.  The arithmetic is fraction-free (Bareiss 1968): with pivot
     entry a and row entry f, g = gcd(a, f),
     row := (a/g) row - (f/g) pivot_row, and after every step the row is
@@ -149,7 +153,7 @@ def _reduce(row: dict[int, int], rhs: tuple[int, ...], pivots) -> tuple[dict[int
         if content > 1:
             row = {c: v // content for c, v in row.items()}
             rhs = tuple([x // content for x in rhs])
-        piv = min((c for c in row if c in pivots), default=None)
+        piv = max((c for c in row if c in pivots), default=None)
         if piv is None:
             return row, rhs
         f = row.pop(piv)
@@ -173,11 +177,22 @@ def _eliminate(equations):
     """Gaussian elimination of (row, rhs) pairs in order, as built by _equations.
 
     Each reduced row that is left nonzero becomes the pivot row of its
-    smallest column.  Returns (pivots, order, conditions): pivots maps a
+    largest column.  Returns (pivots, order, conditions): pivots maps a
     column to its row, order lists the pivot columns as they were made, and
     conditions holds the right-hand side of every row that reduced to zero
     with a nonzero right-hand side, each a form that must vanish for the
     system to be consistent.
+
+    Pivoting on the largest column keeps chains sparse (a Markowitz-style
+    choice, 1957).  A chain numbers its variables in position order, so a
+    forward relation (i, i+p, i+1) is stored as the pivot row of the
+    position i+p it reaches first, without a reduction, and each reversed
+    relation at the top needs only a few.  On the 420 rows of a p = 211
+    chain this makes 423 reductions and keeps every pivot row within 3
+    entries of 16 bits; pivoting on the smallest column made 22157
+    reductions, with rows of up to 209 entries of 1614 bits.  Over an
+    underdetermined system the two rules leave different variables free,
+    so a witness may differ; consistency and every determined value do not.
     """
     pivots: dict[int, tuple[dict[int, int], tuple[int, ...]]] = {}
     order: list[int] = []
@@ -185,7 +200,7 @@ def _eliminate(equations):
     for row, rhs in equations:
         row, rhs = _reduce(row, rhs, pivots)
         if row:
-            col = min(row)
+            col = max(row)
             pivots[col] = (row, rhs)
             order.append(col)
         elif any(rhs):

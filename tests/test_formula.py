@@ -362,6 +362,39 @@ def test_each_formula_is_eliminated_once(monkeypatch):
 
 
 
+def test_large_prime_chain_stays_sparse(monkeypatch):
+    # the (-1/2, 3/2) chain over Z[1/211]: 420 variables and 420 rows.  Pivoting
+    # on the largest column keeps every stored row as short as a relation.
+    import baryalg.formula as formula_module
+
+    phi = synth_phi([F(-1, 2), F(3, 2)], RingSpec([211]))
+    lookups = []
+
+    class CountingPivots:
+        def __init__(self, pivots):
+            self.pivots = pivots
+
+        def __contains__(self, col):
+            return col in self.pivots
+
+        def __getitem__(self, col):
+            lookups.append(col)
+            return self.pivots[col]
+
+    reduce = formula_module._reduce
+    monkeypatch.setattr(
+        formula_module, "_reduce", lambda row, rhs, pivots: reduce(row, rhs, CountingPivots(pivots))
+    )
+    equations = _equations(phi, [(F(1), F(0)), (F(0), F(1))])
+    pivots, _, conditions = _eliminate(equations)
+    assert len(equations) == phi.num_vars == 420
+    assert len(pivots) == 420 and not conditions
+    assert len(lookups) <= 2 * len(equations)
+    for row, rhs in pivots.values():
+        assert len(row) <= 4
+        assert max(abs(x).bit_length() for x in [*row.values(), *rhs]) <= 64
+
+
 def _three_term_vector(v, big_v):
     # split chain of width v + 1, then a pair chain of width big_v + 1 whose
     # ends are already bound: 1 + (v + 1) + (big_v - 1) variables over Z[1/2]
