@@ -15,6 +15,14 @@ top = max(v', u', bottom + 2p - 3), so it has top - bottom + 1 variables
 and top - bottom - 1 relations.  Longer instances split the index set by
 coefficient sign and recurse, the partial sums combining through one more
 two-point chain.
+
+A formula's system is eliminated once and cached on the formula
+(ChainFormula._solution): every variable as an integer form over x_0..x_{k-1}
+and y, and the condition forms that vanish exactly where the system is
+consistent.  verify_phi and solved_coefficients read those forms, and
+check_satisfaction is an integer evaluation of them at the points and the
+target, one coordinate at a time.  Elimination pivots on the largest column
+(see _eliminate).
 """
 
 from __future__ import annotations

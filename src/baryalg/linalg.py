@@ -41,24 +41,6 @@ def _frac_vector(vec: Sequence) -> QVector:
     return [Fraction(x) for x in vec]
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> QMatrix:
-    a, b = _frac_matrix(a), _frac_matrix(b)
-    if a and b and len(a[0]) != len(b):
-        raise LinalgError("dimension mismatch in product")
-    cols = len(b[0]) if b else 0
-    return [
-        [sum((ra[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols)]
-        for ra in a
-    ]
-
-
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> QVector:
-    a, v = _frac_matrix(a), _frac_vector(v)
-    if a and len(a[0]) != len(v):
-        raise LinalgError("dimension mismatch in product")
-    return [sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a]
-
-
 def rref(matrix: Sequence[Sequence]) -> tuple[QMatrix, list[int], int]:
     """Reduced row echelon form; returns (R, pivot columns, rank)."""
     m = _frac_matrix(matrix)

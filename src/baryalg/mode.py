@@ -227,26 +227,3 @@ def check_laws(sample: Sequence[Sequence], parameters: Sequence) -> LawReport:
                                 witness = (points[i], points[j], points[k], points[l], p, q)
                                 violations.append(("entropic", witness))
     return report
-
-
-def division_point_relations(
-    y: Sequence, x: Sequence, p
-) -> tuple[Point, tuple[bool, bool, bool]]:
-    """Interior division point b of the segment from y to x, with its inverse laws.
-
-    Returns b = (1-p)y + px together with three exact checks:
-    x = y b (1/p), y = b x (p/(p-1)), and dist(y,x)^2 * p^2 = dist(y,b)^2
-    (distances squared keep everything rational).
-    """
-    y, x, p = as_point(y), as_point(x), Fraction(p)
-    if not 0 < p < 1:
-        raise ModeError("parameter must lie strictly between 0 and 1")
-    if y == x:
-        raise ModeError("points must be distinct")
-    b = bary_op(y, x, p)
-    first = bary_op(y, b, Fraction(1) / p) == x
-    second = bary_op(b, x, p / (p - 1)) == y
-    dist2_yx = sum((a - c) ** 2 for a, c in zip(y, x))
-    dist2_yb = sum((a - c) ** 2 for a, c in zip(y, b))
-    third = dist2_yx * p * p == dist2_yb
-    return b, (first, second, third)

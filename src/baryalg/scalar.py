@@ -139,16 +139,6 @@ def ring_contains(q: Rational, ring: RingSpec) -> bool:
     return den == 1
 
 
-def interval_member(q: Rational, ring: RingSpec, open_interval: bool) -> bool:
-    """Membership in the unit interval of the ring, open or closed."""
-    q = Fraction(q)
-    if not ring_contains(q, ring):
-        return False
-    if open_interval:
-        return 0 < q < 1
-    return 0 <= q <= 1
-
-
 def integer_row(vector: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
     """(d, d * vector) with d the least common denominator of the entries."""
     d = lcm(*(x.denominator for x in vector))

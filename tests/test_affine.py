@@ -362,7 +362,7 @@ def test_gram_invariant():
         m = len(pts)
         g = _gram(pts)
         assert all(g[i][j] == g[j][i] for i in range(m) for j in range(m))
-        assert linalg.mat_mul(g, g) == g
+        assert [[sum(g[i][t] * g[t][j] for t in range(m)) for j in range(m)] for i in range(m)] == g
         assert all(sum(row) == 0 for row in g)
         assert sum(g[i][i] for i in range(m)) == VPolytope(pts).affine_dimension
         for _ in range(5):

@@ -15,8 +15,6 @@ from baryalg.linalg import (
     implicit_equalities,
     lp_extremum,
     lp_feasible,
-    mat_mul,
-    mat_vec,
     relative_interior_point,
     rref,
     smith_normal_form,
@@ -25,6 +23,14 @@ from baryalg.linalg import (
 )
 
 F = Fraction
+
+
+def mat_mul(a, b):
+    return [[sum((F(x) * y for x, y in zip(row, col)), F(0)) for col in zip(*b)] for row in a]
+
+
+def mat_vec(a, v):
+    return [sum((F(x) * y for x, y in zip(row, v)), F(0)) for row in a]
 
 
 def test_rref_examples():

@@ -10,7 +10,6 @@ from baryalg.scalar import (
     RingSpec,
     ScalarError,
     format_rational,
-    interval_member,
     parse_rational,
     prime_valuation,
     ring_contains,
@@ -63,15 +62,6 @@ def test_ring_contains_examples():
     assert trial_factorization(3) == {3: 1}
     assert not ring_contains(Fraction(1, 3), DYADIC)
     assert ring_contains(Fraction(7), DYADIC)  # integers always belong
-
-
-def test_interval_member_examples():
-    assert interval_member(Fraction(1, 2), DYADIC, True)
-    assert not interval_member(Fraction(0), DYADIC, True)
-    assert interval_member(Fraction(0), DYADIC, False)
-    # oracle: denominator 4 = 2^2 is not 3-smooth
-    assert trial_factorization(4) == {2: 2}
-    assert not interval_member(Fraction(3, 4), RingSpec([3]), True)
 
 
 def test_smallest_inverted_prime():
