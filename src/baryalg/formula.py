@@ -142,7 +142,7 @@ class _Solution(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _reduce(row: dict[int, int], rhs: tuple[int, ...], pivots) -> tuple[dict[int, int], tuple[int, ...]]:
+def _reduce(row: dict[int, int], rhs: tuple[int, ...], pivots):
     """Reduce one integer row against the stored pivot rows.
 
     The row (dict variable -> coefficient) and its right-hand side vector are

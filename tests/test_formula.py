@@ -361,7 +361,6 @@ def test_each_formula_is_eliminated_once(monkeypatch):
     assert len(calls) == 2
 
 
-
 def test_large_prime_chain_stays_sparse(monkeypatch):
     # the (-1/2, 3/2) chain over Z[1/211]: 420 variables and 420 rows.  Pivoting
     # on the largest column keeps every stored row as short as a relation.
