@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from . import linalg
 from .hull import VPolytope, hull_member_Q
 from .mode import Point, as_point, bary_op
-from .scalar import RingSpec
+from .scalar import RingSpec, integer_row
 
 
 class AffineError(ValueError):
@@ -55,6 +56,10 @@ class AffineMap:
 
     def apply(self, point: Sequence) -> Point:
         x = as_point(point)
+        if len(x) != self.dimension:
+            raise AffineError(
+                f"point of dimension {len(x)} for a map of dimension {self.dimension}"
+            )
         return tuple(
             sum((row[j] * x[j] for j in range(len(x))), Fraction(0)) + t
             for row, t in zip(self.matrix, self.translation)
@@ -80,12 +85,12 @@ def _points(points: Sequence[Sequence]) -> list[Point]:
     return pts
 
 
-def _difference_columns(pts: list[Point], tail: int = 0) -> list[list[Fraction]]:
+def _difference_columns(pts: list[Point], tail: int = 0) -> list[list]:
     """The matrix whose columns are the differences from the first point,
     followed by the first tail standard basis vectors."""
     base = pts[0]
     return [
-        [q[r] - base[r] for q in pts[1:]] + [Fraction(int(r == j)) for j in range(tail)]
+        [q[r] - base[r] for q in pts[1:]] + [int(r == j) for j in range(tail)]
         for r in range(len(base))
     ]
 
@@ -104,7 +109,7 @@ def max_independent_subset(points: Sequence[Sequence]) -> list[int]:
     All maximal independent subsets of a set share one size (one more than
     the affine dimension), so the greedy result has canonical length.
     """
-    pivots = linalg.rref(_difference_columns(_points(points)))[1]
+    pivots = linalg._pivots(_difference_columns(_points(points)))
     return [0] + [j + 1 for j in pivots]
 
 
@@ -120,7 +125,7 @@ def extend_to_basis(points: Sequence[Sequence], dimension: int) -> list[Point]:
     if any(len(q) != dimension for q in pts):
         raise AffineError("points do not live in the requested dimension")
     k = len(pts) - 1
-    pivots = linalg.rref(_difference_columns(pts, dimension))[1]
+    pivots = linalg._pivots(_difference_columns(pts, dimension))
     if pivots[:k] != list(range(k)):
         raise AffineError("input points are affinely dependent")
     return pts + [
@@ -176,20 +181,28 @@ def _gram(vertices: Sequence[Point]) -> list[list[Fraction]]:
     G is rational and does not depend on the choice of B.  An invertible
     affine map sends D to A D, which has the same row space, so a vertex
     bijection induced by such a map carries G_ij to G_{s(i) s(j)}.
+
+    The elimination is in ints: with L the lcm of all denominators, the
+    columns m L v - L sum(v) make m L D, which has D's row space and so the
+    same G.  Only the entries of G are Fractions.
     """
     m, n = len(vertices), len(vertices[0])
-    centroid = [sum((v[r] for v in vertices), Fraction(0)) / m for r in range(n)]
-    centred = [[v[r] - centroid[r] for v in vertices] for r in range(n)]
-    red, _, rk = linalg.rref(centred)
-    basis = red[:rk]
-    # Row-reducing [B B^T | B] leaves (B B^T)^-1 B in the right block.
-    aug = [
-        [sum((x * y for x, y in zip(bi, bj)), Fraction(0)) for bj in basis] + bi
-        for bi in basis
-    ]
-    solved = [row[rk:] for row in linalg.rref(aug)[0]]
+    _, flat = integer_row([x for v in vertices for x in v])
+    basis = []
+    for r in range(n):
+        coordinate = flat[r::n]
+        total = sum(coordinate)
+        basis.append([m * x - total for x in coordinate])
+    rk = len(linalg._gauss_jordan(basis))
+    del basis[rk:]
+    # Row-reducing [B B^T | B] leaves p_k times row k of (B B^T)^-1 B in the
+    # right block of row k, p_k being its pivot entry at column k.
+    aug = [[sum(x * y for x, y in zip(bi, bj)) for bj in basis] + bi for bi in basis]
+    linalg._gauss_jordan(aug)
+    den = lcm(*(row[k] for k, row in enumerate(aug)))
+    solved = [[x * (den // row[k]) for x in row[rk:]] for k, row in enumerate(aug)]
     return [
-        [sum((basis[k][i] * solved[k][j] for k in range(rk)), Fraction(0)) for j in range(m)]
+        [Fraction(sum(basis[k][i] * solved[k][j] for k in range(rk)), den) for j in range(m)]
         for i in range(m)
     ]
 

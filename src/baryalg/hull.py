@@ -287,9 +287,8 @@ class VPolytope:
 
     @property
     def affine_dimension(self) -> int:
-        base = self.generators[0]
-        diffs = [[c - b for c, b in zip(g, base)] for g in self.generators[1:]]
-        return linalg.rank(diffs) if diffs else 0
+        """The rank of the rows (1, g) over the generators g, less one."""
+        return linalg.rank([(1, *g) for g in self.generators]) - 1
 
 
 # ---------------------------------------------------------------------------

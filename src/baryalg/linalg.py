@@ -5,8 +5,10 @@ solving, Smith normal form with unimodular transforms, and exact linear
 feasibility with witnesses and Farkas certificates.  Feasibility and
 optimization share one two-phase simplex in standard form whose Bland
 pivoting rule cannot cycle; an infeasible system gets its certificate from
-the phase-1 duals.  The simplex pivots in Python ints (see _Simplex), so
-Fractions appear only in what it returns.
+the phase-1 duals.  Elimination is in Python ints as well: the simplex
+pivots on int rows (see _Simplex), and rref, rank and the pivot readings
+share one fraction-free Gauss-Jordan kernel (_gauss_jordan), so Fractions
+appear only in returned values.
 """
 
 from __future__ import annotations
@@ -41,34 +43,65 @@ def _frac_vector(vec: Sequence) -> QVector:
     return [Fraction(x) for x in vec]
 
 
+def _integer_rows(matrix: Sequence[Sequence]) -> list[list[int]]:
+    """Each row times the lcm of its denominators; ints and Fractions are read as they are."""
+    rows = [
+        list(integer_row([x if type(x) in (int, Fraction) else Fraction(x) for x in row])[1])
+        for row in matrix
+    ]
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise LinalgError("ragged matrix")
+    return rows
+
+
+def _gauss_jordan(rows: list[list[int]]) -> list[int]:
+    """Reduce int rows in place to a multiple of their RREF; return the pivot columns.
+
+    Row k < rank ends as p_k times RREF row k, with p_k > 0 its entry at
+    pivot k; the other rows end as zeros.  Each step replaces a row R_i by
+    p R_i - f R_r over its gcd, as in _Simplex._pivot, so every row stays
+    a nonzero multiple of the row the Fraction elimination would hold, and
+    the pivots are the same.
+    """
+    pivots: list[int] = []
+    ncols = len(rows[0]) if rows else 0
+    top = 0
+    for col in range(ncols):
+        found = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if found is None:
+            continue
+        row = rows[found] if rows[found][col] > 0 else [-x for x in rows[found]]
+        rows[found], rows[top] = rows[top], row
+        p = row[col]
+        for i, other in enumerate(rows):
+            f = other[col]
+            if f != 0 and i != top:
+                new = [p * x - f * y for x, y in zip(other, row)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(col)
+        top += 1
+        if top == len(rows):
+            break
+    return pivots
+
+
+def _pivots(matrix: Sequence[Sequence]) -> list[int]:
+    """The pivot columns of the RREF of matrix, without building it."""
+    return _gauss_jordan(_integer_rows(matrix))
+
+
 def rref(matrix: Sequence[Sequence]) -> tuple[QMatrix, list[int], int]:
     """Reduced row echelon form; returns (R, pivot columns, rank)."""
-    m = _frac_matrix(matrix)
-    if not m:
-        return [], [], 0
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return m, pivots, len(pivots)
+    rows = _integer_rows(matrix)
+    pivots = _gauss_jordan(rows)
+    red = [[Fraction(x, row[col]) for x in row] for row, col in zip(rows, pivots)]
+    red += [[Fraction(0)] * len(row) for row in rows[len(pivots):]]
+    return red, pivots, len(pivots)
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
-    return rref(matrix)[2]
+    return len(_pivots(matrix))
 
 
 def determinant(matrix: Sequence[Sequence]) -> Fraction:
@@ -304,8 +337,8 @@ class _Simplex:
     The general system becomes standard form without doubling any row.  The
     first inequality per variable whose oriented form is a_j x_j <= 0 (for
     instance x_j >= 0) fixes the sign of that variable's single column and is
-    not a row; every other variable gets a + and a - column.  Each remaining
-    inequality gets a slack column.  Rows are negated where needed so that
+    never scaled into a row; every other variable gets a + and a - column.
+    Each remaining inequality gets a slack column.  Rows are negated where needed so that
     b >= 0, and one artificial column per row forms the starting basis.
     Column layout: structural, slacks, artificials, right-hand side.
     Entries are ints: a row R, divided by its gcd, stands for R / R[basic],
@@ -324,14 +357,15 @@ class _Simplex:
             if len(con.coeffs) != num_vars:
                 raise LinalgError("constraint arity mismatch")
             orient = -1 if con.rel == ">=" else 1
+            inequality = con.rel != "=="
+            if inequality and con.rhs == 0:
+                support = [j for j, c in enumerate(con.coeffs) if c]
+                if len(support) == 1 and support[0] not in self.bounds:
+                    self.bounds[support[0]] = (i, orient * con.coeffs[support[0]])
+                    continue
             scale, ints = integer_row(con.coeffs + (con.rhs,))
             *a, b = (orient * x for x in ints)
-            support = [j for j, c in enumerate(a) if c != 0]
-            inequality = con.rel != "=="
-            if inequality and b == 0 and len(support) == 1 and support[0] not in self.bounds:
-                self.bounds[support[0]] = (i, orient * con.coeffs[support[0]])
-            else:
-                self.rows.append((i, scale, a, b, inequality))
+            self.rows.append((i, scale, a, b, inequality))
         self.columns: list[tuple[int, int]] = []  # (j, sign): x_j = sum sign * y
         for j in range(num_vars):
             if j in self.bounds:

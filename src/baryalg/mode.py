@@ -22,7 +22,8 @@ class ModeError(ValueError):
 
 
 def as_point(coords: Sequence) -> Point:
-    return tuple(Fraction(c) for c in coords)
+    """coords as a tuple of Fractions; entries that already are Fractions are kept."""
+    return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
 
 
 def bary_op(x: Sequence, y: Sequence, p) -> Point:

@@ -149,6 +149,13 @@ def test_affine_map_validation_and_inverse():
         AffineMap([[1, 2], [2, 4]], [0, 0])
 
 
+def test_affine_map_apply_checks_the_dimension():
+    psi = AffineMap([[2, 1], [0, 1]], [3, -1])
+    for point in [(1,), (1, 2, 3), ()]:
+        with pytest.raises(AffineError):
+            psi.apply(point)
+
+
 def test_map_from_correspondence_examples():
     basis = _pts((0, 0), (1, 0), (0, 1))
     ident = map_from_correspondence(basis, basis)
@@ -374,6 +381,67 @@ def test_gram_invariant():
     trapezoid = _pts((0, 0), (3, 0), (2, 1), (1, 1))
     square_rows = sorted(sorted(row) for row in _gram(UNIT_SQUARE))
     assert square_rows != sorted(sorted(row) for row in _gram(trapezoid))
+
+
+def _reference_gram(vertices):
+    """_gram in Fractions, through rref: the reference for the integer version."""
+    m, n = len(vertices), len(vertices[0])
+    centroid = [sum((v[r] for v in vertices), F(0)) / m for r in range(n)]
+    centred = [[v[r] - centroid[r] for v in vertices] for r in range(n)]
+    red, _, rk = linalg.rref(centred)
+    basis = red[:rk]
+    aug = [[sum((x * y for x, y in zip(bi, bj)), F(0)) for bj in basis] + bi for bi in basis]
+    solved = [row[rk:] for row in linalg.rref(aug)[0]]
+    return [
+        [sum((basis[k][i] * solved[k][j] for k in range(rk)), F(0)) for j in range(m)]
+        for i in range(m)
+    ]
+
+
+def _random_point_set(rng):
+    """Points base + sum c_k d_k over at most n random directions, some repeated."""
+    n = rng.randint(1, 4)
+    rk = rng.randint(0, n)
+
+    def rational():
+        return F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 7, 12]))
+
+    base = [rational() for _ in range(n)]
+    directions = [[rational() for _ in range(n)] for _ in range(rk)]
+    points = []
+    for _ in range(rng.randint(rk + 1, rk + 4)):
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in directions]
+        offset = [sum((c * d[r] for c, d in zip(coeffs, directions)), F(0)) for r in range(n)]
+        points.append(tuple(b + x for b, x in zip(base, offset)))
+    if rng.random() < 0.3:
+        points.insert(rng.randrange(len(points) + 1), rng.choice(points))
+    return points
+
+
+def test_gram_matches_fraction_reference(monkeypatch):
+    recorded = []
+    kernel = linalg._gauss_jordan
+
+    def recording(rows):
+        pivots = kernel(rows)
+        recorded.append(rows)
+        return pivots
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", recording)
+    rng = random.Random(1968)
+    seen = set()
+    for _ in range(1000):
+        points = _random_point_set(rng)
+        g = _gram(points)
+        assert g == _reference_gram(points)
+        assert all(type(x) is F for row in g for x in row)
+        seen.add((len(points[0]), sum(g[i][i] for i in range(len(points)))))
+        seen.add("repeated points" * (len(set(points)) < len(points)))
+        denominators = {x.denominator for p in points for x in p} - {1}
+        seen.add("mixed denominators" * (len(denominators) > 1))
+    assert {(n, rk) for n in range(1, 5) for rk in range(n + 1)} <= seen
+    assert {"repeated points", "mixed denominators"} <= seen
+    assert all(type(x) is int for rows in recorded for row in rows for x in row)
 
 
 def test_iso_decide_segments():

@@ -52,6 +52,121 @@ def test_rref_idempotent():
         assert rref(once)[0] == once
 
 
+def _reference_rref(matrix):
+    """rref as a plain Fraction Gauss-Jordan loop: the reference for the int kernel."""
+    m = [[F(x) for x in row] for row in matrix]
+    if not m:
+        return [], [], 0
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[row], m[pivot_row] = m[pivot_row], m[row]
+        inv = F(1) / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(nrows):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return m, pivots, len(pivots)
+
+
+_MATRIX_KINDS = (
+    "empty",
+    "zero columns",
+    "all zeros",
+    "rank-deficient",
+    "negative leading entries",
+    "mixed denominators",
+    "large numerators",
+    "mixed entry types",
+)
+
+
+def _random_matrix(rng, kind):
+    rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+    if kind == "empty":
+        return []
+    if kind == "zero columns":
+        return [[] for _ in range(rows)]
+    if kind == "all zeros":
+        return [[0] * cols for _ in range(rows)]
+
+    def entry():
+        if kind == "large numerators":
+            return F(rng.randint(-(2**40), 2**40), rng.randint(1, 2**40))
+        if kind == "mixed entry types":
+            return rng.choice([rng.randint(-3, 3), F(rng.randint(-3, 3), 7), "-2/3", "5"])
+        return F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 5, 12]))
+
+    if kind == "rank-deficient":
+        basis = [[entry() for _ in range(cols)] for _ in range(rng.randint(0, min(rows, cols) - 1))]
+        combos = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in basis] for _ in range(rows)]
+        return [
+            [sum((c * b[j] for c, b in zip(combo, basis)), F(0)) for j in range(cols)]
+            for combo in combos
+        ]
+    matrix = [[entry() if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)]
+    if kind == "negative leading entries":
+        matrix = [[-abs(F(x)) if j == 0 else x for j, x in enumerate(row)] for row in matrix]
+    return matrix
+
+
+def test_rref_matches_fraction_reference():
+    rng = random.Random(1968)
+    seen = set()
+    for i in range(1200):
+        kind = _MATRIX_KINDS[i % len(_MATRIX_KINDS)]
+        matrix = _random_matrix(rng, kind)
+        expected = _reference_rref(matrix)
+        red, pivots, rk = rref(matrix)
+        assert (red, pivots, rk) == expected
+        assert all(type(x) is F for row in red for x in row)
+        assert linalg.rank(matrix) == rk
+        assert linalg._pivots(matrix) == pivots
+        seen.add(kind)
+        if matrix and rk < min(len(matrix), len(matrix[0])):
+            seen.add("rank below both sizes")
+        if any(F(next((x for x in row if F(x) != 0), 0)) < 0 for row in matrix):
+            seen.add("some row leads with a negative entry")
+    assert seen == set(_MATRIX_KINDS) | {
+        "rank below both sizes",
+        "some row leads with a negative entry",
+    }
+    for function in (rref, linalg.rank):
+        with pytest.raises(linalg.LinalgError):
+            function([[1, 2], [3]])
+
+
+def test_elimination_holds_only_ints(monkeypatch):
+    recorded = []
+    kernel = linalg._gauss_jordan
+
+    def recording(rows):
+        recorded.append([list(row) for row in rows])
+        pivots = kernel(rows)
+        recorded.append(rows)
+        return pivots
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", recording)
+    rng = random.Random(16)
+    for i in range(40):
+        matrix = _random_matrix(rng, _MATRIX_KINDS[i % len(_MATRIX_KINDS)])
+        rref(matrix)
+        linalg.rank(matrix)
+        linalg._pivots(matrix)
+        solve_affine(matrix, [F(1, 3)] * len(matrix))
+    assert len(recorded) == 2 * 4 * 40
+    assert all(type(x) is int for rows in recorded for row in rows for x in row)
+
+
 def test_solve_affine_barycentric_row():
     solved = solve_affine([[1, 1]], [1])
     assert solved is not None
@@ -406,6 +521,59 @@ def test_lp_agrees_with_vertex_enumeration():
         else:
             assert verify_farkas_certificate(cons, res.certificate)
     assert pointed >= 15
+
+
+def test_sign_bounds_are_recognised_before_scaling():
+    def unit(j, c, n=4):
+        return [c * int(k == j) for k in range(n)]
+
+    system = [
+        LinearConstraint(unit(0, 1), ">=", 0),  # x_0 >= 0
+        LinearConstraint(unit(1, -1), "<=", 0),  # -x_1 <= 0
+        LinearConstraint(unit(2, F(3, 2)), ">=", 0),  # (3/2) x_2 >= 0
+        LinearConstraint(unit(3, F(2, 5)), "<=", 0),  # (2/5) x_3 <= 0
+        LinearConstraint(unit(0, F(2, 5)), "<=", 0),  # x_0 is bounded already
+        LinearConstraint([0, 1, -1, 0], ">=", 0),  # two nonzero coefficients
+        LinearConstraint(unit(1, 1), "==", 0),  # an equality
+        LinearConstraint(unit(2, 1), "<=", 1),  # a nonzero right-hand side
+    ]
+    sx = linalg._Simplex(system, 4)
+    assert sx.bounds == {0: (0, F(-1)), 1: (1, F(-1)), 2: (2, F(-3, 2)), 3: (3, F(2, 5))}
+    assert [row[0] for row in sx.rows] == [4, 5, 6, 7]
+    assert sx.columns == [(0, 1), (1, 1), (2, 1), (3, -1)]
+
+    rng = random.Random(2014)
+    forms = [(">=", F(1)), ("<=", F(-1)), (">=", F(3, 2)), ("<=", F(2, 5))]
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        cons = []
+        for _ in range(rng.randint(1, 7)):
+            shape = rng.random()
+            if shape < 0.5:
+                rel, c = rng.choice(forms)
+                cons.append(LinearConstraint(unit(rng.randrange(n), c, n), rel, 0))
+            elif shape < 0.65 and n > 1:
+                i, j = rng.sample(range(n), 2)
+                coeffs = [F(0)] * n
+                coeffs[i], coeffs[j] = F(rng.choice([1, -2, 3]), 2), F(rng.choice([-1, 1, 5]), 3)
+                cons.append(LinearConstraint(coeffs, rng.choice(["<=", ">="]), 0))
+            else:
+                coeffs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                rel = rng.choice(["<=", ">=", "=="])
+                cons.append(LinearConstraint(coeffs, rel, F(rng.randint(-4, 4), rng.randint(1, 3))))
+        res = lp_feasible(cons, n)
+        verdicts[res.feasible] += 1
+        if not res.feasible:
+            assert verify_farkas_certificate(cons, res.certificate)
+            continue
+        assert all(con.satisfied_by(res.witness) for con in cons)
+        for maximize in (True, False):
+            objective = [F(rng.randint(-3, 3)) for _ in range(n)]
+            status, value, optimum = lp_extremum(cons, objective, maximize)
+            if status == "optimal":
+                assert all(con.satisfied_by(optimum) for con in cons)
+    assert min(verdicts.values()) >= 30
 
 
 @settings(max_examples=40, deadline=None)

@@ -32,6 +32,14 @@ def test_bary_op_examples():
         bary_op([0], [1, 2], F(1, 2))
 
 
+def test_as_point_keeps_fractions_and_converts_the_rest():
+    half = F(1, 2)
+    point = as_point([half, 3, "2/3", 0.25])
+    assert point == (half, 3, F(2, 3), F(1, 4))
+    assert point[0] is half
+    assert all(type(x) is F for x in point)
+
+
 def test_eval_term_examples():
     assert eval_term(Leaf(0), {0: (F(5),)}) == (5,)
     term = Node(Node(Leaf(0), Leaf(1), F(1, 2)), Node(Leaf(2), Leaf(3), F(1, 2)), F(1, 2))
