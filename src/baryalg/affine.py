@@ -8,24 +8,23 @@ independent ordered tuples on the right, and accept the induced map iff it
 bijects the vertex sets.  The search is pruned by an exact invariant (after
 Bremner, Dutour Sikirić, Pasechnik, Rehn and Schürmann, "Computing symmetry
 groups of polyhedra", 2014): the projection G onto the row space of the
-centred vertex matrix, which every invertible affine map preserves up to
-the vertex bijection it induces.  The same witness, restricted to the
-polytope, is an isomorphism of the associated barycentric algebras for any
-coefficient ring: an affine map commutes with every barycentric operation
-by construction (see iso_decide).
+centred vertex matrix (VPolytope.gram), which every invertible affine map
+preserves up to the vertex bijection it induces.  The same witness,
+restricted to the polytope, is an isomorphism of the associated
+barycentric algebras for any coefficient ring: an affine map commutes with
+every barycentric operation by construction (see iso_decide).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from . import linalg
-from .hull import VPolytope, hull_member_Q
+from .hull import VPolytope
 from .mode import Point, as_point, bary_op
-from .scalar import RingSpec, integer_row
+from .scalar import RingSpec
 
 
 class AffineError(ValueError):
@@ -45,7 +44,7 @@ class AffineMap:
         n = len(t)
         if len(m) != n or any(len(row) != n for row in m):
             raise AffineError("matrix must be square and match the translation")
-        if linalg.determinant([list(row) for row in m]) == 0:
+        if linalg.rank(m) != n:
             raise AffineError("matrix must be invertible")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "translation", t)
@@ -173,40 +172,6 @@ class EquivalenceVerdict:
     reason: str
 
 
-def _gram(vertices: Sequence[Point]) -> list[list[Fraction]]:
-    """The m x m projection G = B^T (B B^T)^-1 B onto the row space of the
-    centred vertex matrix D (n x m, one column per vertex; B is a row basis
-    of D).
-
-    G is rational and does not depend on the choice of B.  An invertible
-    affine map sends D to A D, which has the same row space, so a vertex
-    bijection induced by such a map carries G_ij to G_{s(i) s(j)}.
-
-    The elimination is in ints: with L the lcm of all denominators, the
-    columns m L v - L sum(v) make m L D, which has D's row space and so the
-    same G.  Only the entries of G are Fractions.
-    """
-    m, n = len(vertices), len(vertices[0])
-    _, flat = integer_row([x for v in vertices for x in v])
-    basis = []
-    for r in range(n):
-        coordinate = flat[r::n]
-        total = sum(coordinate)
-        basis.append([m * x - total for x in coordinate])
-    rk = len(linalg._gauss_jordan(basis))
-    del basis[rk:]
-    # Row-reducing [B B^T | B] leaves p_k times row k of (B B^T)^-1 B in the
-    # right block of row k, p_k being its pivot entry at column k.
-    aug = [[sum(x * y for x, y in zip(bi, bj)) for bj in basis] + bi for bi in basis]
-    linalg._gauss_jordan(aug)
-    den = lcm(*(row[k] for k, row in enumerate(aug)))
-    solved = [[x * (den // row[k]) for x in row[rk:]] for k, row in enumerate(aug)]
-    return [
-        [Fraction(sum(basis[k][i] * solved[k][j] for k in range(rk)), den) for j in range(m)]
-        for i in range(m)
-    ]
-
-
 def _anchor_images(anchor_idx, lg, rg, l_rows, r_rows, chosen: list[int]):
     """Right index tuples extending `chosen` whose G block matches the anchor's.
 
@@ -229,13 +194,13 @@ def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
     """Decide whether an invertible affine map carries left onto right.
 
     Equal affine dimension, equal vertex counts and equal multisets of
-    sorted rows of the invariant G (`_gram`) are necessary.  A witness is
-    then searched by anchoring one independent vertex tuple on the left and
-    enumerating ordered independent tuples on the right, in lexicographic
-    order so the first witness is reproducible.  Only tuples whose sorted G
-    rows and mutual G entries match the anchor's are built; the others
-    cannot be the image of the anchor under any affine map, so the first
-    witness is the one an exhaustive enumeration finds.
+    sorted rows of the invariant G (`VPolytope.gram`) are necessary.  A
+    witness is then searched by anchoring one independent vertex tuple on
+    the left and enumerating ordered independent tuples on the right, in
+    lexicographic order so the first witness is reproducible.  Only tuples
+    whose sorted G rows and mutual G entries match the anchor's are built;
+    the others cannot be the image of the anchor under any affine map, so
+    the first witness is the one an exhaustive enumeration finds.
     """
     if left.dimension != right.dimension:
         raise AffineError("polytopes live in different ambient dimensions")
@@ -245,7 +210,7 @@ def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
     lv, rv = list(left.vertices), list(right.vertices)
     if len(lv) != len(rv):
         return EquivalenceVerdict(False, None, "vertex-count-mismatch")
-    lg, rg = _gram(lv), _gram(rv)
+    lg, rg = left.gram, right.gram
     l_rows = [sorted(row) for row in lg]
     r_rows = [sorted(row) for row in rg]
     if sorted(l_rows) != sorted(r_rows):
@@ -333,10 +298,4 @@ def hexagon_relation_check() -> bool:
     half = Fraction(1, 2)
     m1 = bary_op(hexagon[0], hexagon[3], half)
     m2 = bary_op(hexagon[1], hexagon[4], half)
-    if m1 != m2:
-        return False
-    for i, vert in enumerate(hexagon):
-        others = hexagon[:i] + hexagon[i + 1 :]
-        if hull_member_Q(vert, others) is not None:
-            return False
-    return True
+    return m1 == m2 and VPolytope(hexagon).vertices == tuple(hexagon)

@@ -12,6 +12,14 @@ along integer kernel directions scaled by inverse prime powers.
 Whether a ring hull is closed under every rational operation is decided in
 closed form by one q-adic valuation, for q the smallest prime the ring does
 not invert (see q_convexity_probe).
+
+A V-polytope eliminates its distinct generators once, into the projection
+G onto the row space of their centred matrix (see _projection).  Its rank
+is the affine dimension.  Row i of G is an affine functional evaluated at
+the generators, so a generator whose row is strictly largest at its
+diagonal is separated from the others' hull and is a vertex with no LP;
+only the rest take one Q-membership LP each.  The G of the vertices prunes
+the affine equivalence search.
 """
 
 from __future__ import annotations
@@ -254,41 +262,118 @@ def caratheodory(d: Sequence, points: Sequence[Sequence]) -> tuple[list[int], li
 # ---------------------------------------------------------------------------
 
 
+def _projection(points: Sequence[Point]) -> tuple[list[list[int]], int, int]:
+    """(N, den, rank): the m x m projection G = N / den onto the row space
+    of the centred point matrix D (n x m, one column per point), and the
+    rank of D, which is the affine dimension of the points.
+
+    With B a row basis of D, G = B^T (B B^T)^-1 B; it is rational and does
+    not depend on the choice of B.  Row i of G holds the values at the
+    points of one affine functional: G_ij = f_i(p_j).  An invertible affine
+    map sends D to A D, which has the same row space, so a point bijection
+    induced by such a map carries G_ij to G_{s(i) s(j)} (after Bremner,
+    Dutour Sikirić, Pasechnik, Rehn and Schürmann, "Computing symmetry
+    groups of polyhedra", 2014).
+
+    The elimination is in ints: with L the lcm of all denominators, the
+    columns m L p - L sum(p) make m L D, which has D's row space and so the
+    same G.  den > 0, and no Fraction is built.
+    """
+    m, n = len(points), len(points[0])
+    _, flat = integer_row([x for p in points for x in p])
+    basis = []
+    for r in range(n):
+        coordinate = flat[r::n]
+        total = sum(coordinate)
+        basis.append([m * x - total for x in coordinate])
+    rk = len(linalg._gauss_jordan(basis))
+    del basis[rk:]
+    # Row-reducing [B B^T | B] leaves p_k times row k of (B B^T)^-1 B in the
+    # right block of row k, p_k being its pivot entry at column k.
+    aug = [[sum(x * y for x, y in zip(bi, bj)) for bj in basis] + bi for bi in basis]
+    linalg._gauss_jordan(aug)
+    den = math.lcm(*(row[k] for k, row in enumerate(aug)))
+    solved = [[x * (den // row[k]) for x in row[rk:]] for k, row in enumerate(aug)]
+    numerators = [
+        [sum(basis[k][i] * solved[k][j] for k in range(rk)) for j in range(m)]
+        for i in range(m)
+    ]
+    return numerators, den, rk
+
+
 @dataclass(frozen=True)
 class VPolytope:
-    """A bounded rational polytope given by finitely many generating points."""
+    """A bounded rational polytope given by finitely many generating points.
+
+    The distinct generators are eliminated once (see _projection); the
+    affine dimension, most vertex tests and the vertices' G read that one
+    elimination, cached per instance in _cache.
+    """
 
     generators: tuple[Point, ...]
-    _vertices: list = field(default_factory=lambda: [None], repr=False, compare=False)
+    _cache: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
 
     def __init__(self, generators: Sequence[Sequence]):
         pts = _check_points(generators)
         object.__setattr__(self, "generators", tuple(pts))
-        object.__setattr__(self, "_vertices", [None])
+        object.__setattr__(self, "_cache", [None, None])
 
     @property
     def dimension(self) -> int:
         return len(self.generators[0])
 
+    def _distinct(self) -> tuple[list[Point], tuple[list[list[int]], int, int]]:
+        """The distinct generators in input order, and their _projection."""
+        if self._cache[0] is None:
+            unique = list(dict.fromkeys(self.generators))
+            self._cache[0] = unique, _projection(unique)
+        return self._cache[0]
+
+    def _extreme(self) -> tuple[Point, ...]:
+        # the body of the vertices property; gram calls it directly, so a
+        # read of gram is not a read of vertices
+        if self._cache[1] is None:
+            unique, (numerators, _, _) = self._distinct()
+            self._cache[1] = tuple(
+                g
+                for i, (g, row) in enumerate(zip(unique, numerators))
+                if all(x < row[i] for j, x in enumerate(row) if j != i)
+                or hull_member_Q(g, unique[:i] + unique[i + 1 :]) is None
+            )
+        return self._cache[1]
+
     @property
     def vertices(self) -> tuple[Point, ...]:
-        """Extreme points: generators not in the rational hull of the others."""
-        if self._vertices[0] is None:
-            unique = list(dict.fromkeys(self.generators))
-            if len(unique) == 1:
-                self._vertices[0] = tuple(unique)
-            else:
-                self._vertices[0] = tuple(
-                    g
-                    for i, g in enumerate(unique)
-                    if hull_member_Q(g, unique[:i] + unique[i + 1 :]) is None
-                )
-        return self._vertices[0]
+        """Extreme points: generators not in the rational hull of the others,
+        in input order, duplicates dropped.
+
+        A generator g_i whose row of G is strictly largest at its diagonal
+        (G_ii > G_ij for every j != i) is a vertex without an LP: the affine
+        functional f_i with f_i(g_j) = G_ij is below G_ii at every other
+        generator, hence on their hull, so g_i is not in it.  Every other
+        generator is tested by hull_member_Q against the rest.
+        """
+        return self._extreme()
 
     @property
     def affine_dimension(self) -> int:
-        """The rank of the rows (1, g) over the generators g, less one."""
-        return linalg.rank([(1, *g) for g in self.generators]) - 1
+        """The rank of the centred distinct generators (see _projection)."""
+        _, (_, _, rank) = self._distinct()
+        return rank
+
+    @property
+    def gram(self) -> list[list[Fraction]]:
+        """The projection G of the vertices, in vertex order (see _projection).
+
+        When every distinct generator is a vertex, this is the G the vertex
+        tests read; otherwise the vertices are eliminated once more.
+        """
+        unique, projection = self._distinct()
+        vertices = self._extreme()
+        if len(vertices) < len(unique):
+            projection = _projection(vertices)
+        numerators, den, _ = projection
+        return [[Fraction(x, den) for x in row] for row in numerators]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from baryalg import affine as affine_module
-from baryalg import linalg
+from baryalg import hull, linalg
 from baryalg.affine import (
     AffineError,
     AffineMap,
-    _gram,
     affine_equivalence,
     affine_independent,
     extend_to_basis,
@@ -354,6 +353,12 @@ def test_parabola_pairs_are_decided_without_solving(monkeypatch):
     assert len(built) == 1
 
 
+def _gram(points):
+    """The projection G of the points (hull._projection), as Fractions."""
+    numerators, den, _ = hull._projection(points)
+    return [[F(x, den) for x in row] for row in numerators]
+
+
 def test_gram_invariant():
     rng = random.Random(67)
     shapes = [
@@ -435,6 +440,8 @@ def test_gram_matches_fraction_reference(monkeypatch):
         g = _gram(points)
         assert g == _reference_gram(points)
         assert all(type(x) is F for row in g for x in row)
+        polytope = VPolytope(points)
+        assert polytope.gram == _reference_gram(list(polytope.vertices))
         seen.add((len(points[0]), sum(g[i][i] for i in range(len(points)))))
         seen.add("repeated points" * (len(set(points)) < len(points)))
         denominators = {x.denominator for p in points for x in p} - {1}

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from baryalg import hull, linalg
+from baryalg.affine import HEXAGON
 from baryalg.hull import (
     HullError,
     TSegment,
@@ -313,6 +314,86 @@ def test_vpolytope_vertices_and_dimension():
     # every generator recombines from the vertex set
     for g in square_with_center.generators:
         assert hull_member_Q(g, list(square_with_center.vertices)) is not None
+
+
+def _reference_vertices(generators):
+    """One Q-membership LP per distinct generator: the reference for the G-row test."""
+    unique = list(dict.fromkeys(generators))
+    if len(unique) == 1:
+        return tuple(unique)
+    return tuple(
+        g for i, g in enumerate(unique) if hull_member_Q(g, unique[:i] + unique[i + 1 :]) is None
+    )
+
+
+def _polytope_generators(rng):
+    """Points base + sum c_k d_k over at most n random directions, plus convex
+    combinations of them and repeats; some with 40-bit numerators."""
+    n = rng.randint(1, 4)
+    rk = rng.randint(0, n)
+    wide = rng.random() < 0.15
+
+    def rational():
+        if wide:
+            return F(rng.getrandbits(40) - 2**39, rng.choice([1, 3, 2**20 + 7]))
+        return F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 7, 12]))
+
+    base = [rational() for _ in range(n)]
+    directions = [[rational() for _ in range(n)] for _ in range(rk)]
+    points = []
+    for _ in range(rng.randint(1, rk + 5)):
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in directions]
+        offset = [sum((c * d[r] for c, d in zip(coeffs, directions)), F(0)) for r in range(n)]
+        points.append(tuple(b + x for b, x in zip(base, offset)))
+    for _ in range(rng.randint(0, 2)):
+        support = rng.sample(points, rng.randint(1, len(points)))
+        weights = [F(rng.randint(1, 5)) for _ in support]
+        total = sum(weights)
+        combination = [
+            sum((w * p[r] for w, p in zip(weights, support)), F(0)) / total for r in range(n)
+        ]
+        points.insert(rng.randrange(len(points) + 1), tuple(combination))
+    if rng.random() < 0.3:
+        points.insert(rng.randrange(len(points) + 1), rng.choice(points))
+    return points
+
+
+def test_vertices_match_one_lp_per_generator():
+    rng = random.Random(2014)
+    seen = set()
+    for _ in range(1000):
+        points = _polytope_generators(rng)
+        polytope = VPolytope(points)
+        expected = _reference_vertices(points)
+        assert polytope.vertices == expected
+        dimension = rank([(1, *g) for g in points]) - 1
+        assert polytope.affine_dimension == dimension
+        n, unique = len(points[0]), set(points)
+        seen.add(n)
+        seen.add("flat" * (0 < dimension < n))
+        seen.add("interior points" * (len(expected) < len(unique)))
+        seen.add("repeated points" * (len(unique) < len(points)))
+        seen.add("single point" * (len(unique) == 1))
+        seen.add("mixed denominators" * (len({x.denominator for p in points for x in p}) > 2))
+        seen.add("40-bit numerators" * any(abs(x.numerator) >= 2**30 for p in points for x in p))
+    assert {1, 2, 3, 4, "flat", "interior points", "repeated points", "single point"} <= seen
+    assert {"mixed denominators", "40-bit numerators"} <= seen
+
+
+def test_vertices_certified_by_their_g_row_take_no_lp(monkeypatch):
+    calls = []
+
+    def counting(d, points):
+        calls.append(d)
+        return hull_member_Q(d, points)
+
+    monkeypatch.setattr(hull, "hull_member_Q", counting)
+    square = _points([0, 0], [1, 0], [1, 1], [0, 1])
+    centre = (F(1, 2), F(1, 2))
+    for generators, tested in [(square, []), (HEXAGON, []), (square + [centre], [centre])]:
+        calls.clear()
+        assert VPolytope(generators).vertices == tuple(square if tested else generators)
+        assert calls == tested
 
 
 def test_t_segment_points_examples():
