@@ -141,20 +141,22 @@ def membership_report_T(
         raise HullError("query point dimension mismatch")
     m = len(pts)
     constraints = _membership_constraints(d, pts)
-    feas = linalg.lp_feasible(constraints)
-    if not feas.feasible:
-        return MembershipReport(False, None, "rational-hull-infeasible", feas.certificate)
-
     # The affine hull of the coefficient polytope: the equality rows plus the
     # nonnegativity rows that are tight on every feasible point, which are
     # the ones tight at a relative interior point.  The j-th inequality row
-    # is xi_j >= 0.
-    interior = linalg.relative_interior_point(constraints)
+    # is xi_j >= 0.  An infeasible system raises with its Farkas certificate.
+    try:
+        interior = linalg.relative_interior_point(constraints)
+    except linalg.InfeasibleSystemError as infeasible:
+        return MembershipReport(False, None, "rational-hull-infeasible", infeasible.certificate)
     inequalities = [con for con in constraints if con.rel != "=="]
     hull_rows = [con for con in constraints if con.rel == "=="]
     hull_rows += [con for con, x in zip(inequalities, interior) if x == 0]
-    eq_rows = [list(con.oriented()[0]) for con in hull_rows]
-    eq_rhs = [con.oriented()[1] for con in hull_rows]
+    eq_rows, eq_rhs = [], []
+    for con in hull_rows:
+        a, b = con.oriented()
+        eq_rows.append(list(a))
+        eq_rhs.append(b)
     solved = linalg.solve_affine(eq_rows, eq_rhs)
     if solved is None:
         raise HullError("the affine hull of a feasible coefficient polytope is empty")

@@ -29,7 +29,14 @@ class LinalgError(ValueError):
 
 
 class InfeasibleSystemError(LinalgError):
-    """Raised when an operation requires a feasible constraint system."""
+    """Raised when an operation requires a feasible constraint system.
+
+    `certificate` holds the Farkas multipliers of the system, in the form of
+    LPResult.certificate, when the raiser found them (relative_interior_point
+    always does), and None otherwise.
+    """
+
+    certificate: Optional[tuple[Fraction, ...]] = None
 
 
 def _frac_matrix(matrix: Sequence[Sequence]) -> QMatrix:
@@ -483,6 +490,22 @@ class _Simplex:
         costs = [s * objective[j] for j, s in self.columns]
         return self._minimize(costs + [0] * (self.ncols + 1 - len(costs)), range(self.art_at))
 
+    def strict_rows(self) -> set[int]:
+        """Indices of the inequalities strict at the current basic solution.
+
+        The variable of a sign bound a_j x_j <= 0 is its column times a
+        sign, and a kept inequality's slack column is b - a.x, so either is
+        strict exactly when that column is basic at a positive level.
+        """
+        owners = {
+            k: self.bounds[j][0] for k, (j, _) in enumerate(self.columns) if j in self.bounds
+        }
+        kept = [i for i, *_, inequality in self.rows if inequality]
+        owners.update(zip(range(len(self.columns), self.art_at), kept))
+        return {
+            owners[b] for row, b in zip(self.tableau, self.basis) if b in owners and row[-1] > 0
+        }
+
     def witness(self) -> tuple[Fraction, ...]:
         x = [Fraction(0)] * self.num_vars
         for row, b in zip(self.tableau, self.basis):
@@ -556,37 +579,55 @@ def _tighten(con: LinearConstraint, margin: Fraction) -> LinearConstraint:
 def relative_interior_point(constraints: Sequence[LinearConstraint]) -> tuple[Fraction, ...]:
     """A rational point strict on every inequality that is not an implicit equality.
 
-    Each inequality's slack is maximized once, unless an earlier maximizer is
-    already strict on it.  Every maximizer is feasible, and one with positive
-    slack is strict on its own row, so the average of those is strict on
-    every inequality that some feasible point makes strict.  An unbounded
-    slack is made strict by one feasibility test with its row tightened by 1.
+    The system gets one tableau and one phase 1.  An infeasible system
+    raises InfeasibleSystemError carrying that phase 1's Farkas
+    certificate; one with no inequality returns the phase-1 witness, as
+    lp_feasible does.  Otherwise each inequality's slack is maximized by
+    phase 2 from a fresh copy of the phase-1 basis, unless an earlier
+    maximizer is already strict on it; this is the LP lp_extremum would
+    solve, pivot for pivot.  Every maximizer is feasible, and one with
+    positive slack is strict on its own row, so the average of those is
+    strict on every inequality that some feasible point makes strict.
+    Strictness is read off the tableau (_Simplex.strict_rows).  An
+    unbounded slack is made strict by one feasibility test with its row
+    tightened by 1.
     """
     constraints = list(constraints)
+    if not constraints:
+        raise LinalgError("num_vars required for an empty system")
+    num_vars = len(constraints[0].coeffs)
+    sx = _Simplex(constraints, num_vars)
+    if sx.phase1() > 0:
+        error = InfeasibleSystemError("constraint system is infeasible")
+        error.certificate = sx.certificate()
+        raise error
+    if all(con.rel == "==" for con in constraints):
+        return sx.witness()
+    sx.drop_artificials()
+    tableau, basis = sx.tableau, sx.basis
     strict_points: list[tuple[Fraction, ...]] = []
+    strict: set[int] = set()
     feasible_point = None
     for i, con in enumerate(constraints):
-        if con.rel == "==" or any(_slack(con, p) > 0 for p in strict_points):
+        if con.rel == "==" or i in strict:
             continue
-        a, b = con.oriented()
-        status, value, witness = lp_extremum(constraints, [-c for c in a], True)
-        if status == "infeasible":
-            raise InfeasibleSystemError("constraint system is infeasible")
-        if status == "unbounded":
+        sx.tableau, sx.basis = list(tableau), list(basis)
+        if sx.phase2(con.oriented()[0]) == "unbounded":
             tightened = constraints[:i] + [_tighten(con, Fraction(1))] + constraints[i + 1 :]
-            strict_points.append(lp_feasible(tightened).witness)
-        elif value + b > 0:
-            strict_points.append(witness)
+            tx = _Simplex(tightened, num_vars)
+            tx.phase1()
+            strict_points.append(tx.witness())
+            strict |= tx.strict_rows() | {i}
+            continue
+        rows = sx.strict_rows()
+        if i in rows:
+            strict_points.append(sx.witness())
+            strict |= rows
         else:
-            feasible_point = witness  # an implicit equality: tight everywhere
+            feasible_point = sx.witness()  # an implicit equality: tight everywhere
     if strict_points:
         k = Fraction(1, len(strict_points))
         return tuple(sum(coords, Fraction(0)) * k for coords in zip(*strict_points))
-    if feasible_point is None:  # no inequalities at all
-        result = lp_feasible(constraints)
-        if not result.feasible:
-            raise InfeasibleSystemError("constraint system is infeasible")
-        feasible_point = result.witness
     return feasible_point
 
 

@@ -295,6 +295,46 @@ def test_membership_report_T_solves_affine_at_most_once(monkeypatch):
     assert walked > 0
 
 
+def test_membership_report_T_builds_one_tableau(monkeypatch):
+    counts = {"built": 0, "phase1": 0}
+
+    class Counted(linalg._Simplex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counts["built"] += 1
+
+        def phase1(self):
+            counts["phase1"] += 1
+            return super().phase1()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("membership_report_T solved a separate LP")
+
+    monkeypatch.setattr(linalg, "_Simplex", Counted)
+    monkeypatch.setattr(linalg, "lp_extremum", forbidden)
+    monkeypatch.setattr(linalg, "lp_feasible", forbidden)
+    cases = [
+        ([F(3, 2)], _points([0], [3]), "unique-ring-combination"),
+        ([1], _points([0], [F(1, 2)], [3]), "ring-combination"),
+        ([F(1, 2)], _points([0], [1], [1]), "ring-combination"),
+        ([4], _points([0], [3]), "rational-hull-infeasible"),
+        ([1], _points([0], [3]), "unique-rational-point-not-in-ring"),
+        (
+            (F(1, 3), F(1, 2)),
+            _points([0, 0], [1, 0], [0, 1], [0, 2]),
+            "no-ring-point-on-affine-hull",
+        ),
+    ]
+    for d, points, reason in cases:
+        counts.update(built=0, phase1=0)
+        report = membership_report_T(d, points, DYADIC)
+        assert report.reason == reason
+        assert counts == {"built": 1, "phase1": 1}
+        if reason == "rational-hull-infeasible":
+            constraints = hull._membership_constraints(tuple(d), points)
+            assert linalg.verify_farkas_certificate(constraints, report.certificate)
+
+
 def test_vpolytope_vertices_and_dimension():
     square_with_center = VPolytope(
         _points([0, 0], [1, 0], [1, 1], [0, 1], [F(1, 2), F(1, 2)])

@@ -424,6 +424,147 @@ def test_relative_interior_point():
     assert point[0] == 0 and 0 < point[1] < 1
 
 
+def _reference_slack(con, point):
+    a, b = con.oriented()
+    return b - sum((c * x for c, x in zip(a, point)), F(0))
+
+
+def _reference_relative_interior_point(constraints, paths):
+    """One lp_extremum per slack, each building its own tableau and phase 1.
+
+    Records in `paths` which branches it took.
+    """
+    constraints = list(constraints)
+    strict_points = []
+    feasible_point = None
+    for i, con in enumerate(constraints):
+        if con.rel == "==" or any(_reference_slack(con, p) > 0 for p in strict_points):
+            continue
+        a, b = con.oriented()
+        status, value, witness = lp_extremum(constraints, [-c for c in a], True)
+        if status == "infeasible":
+            raise InfeasibleSystemError("constraint system is infeasible")
+        if status == "unbounded":
+            paths.add("unbounded")
+            shift = -1 if con.rel == "<=" else 1
+            tightened = LinearConstraint(con.coeffs, con.rel, con.rhs + shift)
+            tightened = constraints[:i] + [tightened] + constraints[i + 1 :]
+            strict_points.append(lp_feasible(tightened).witness)
+        elif value + b > 0:
+            strict_points.append(witness)
+        else:
+            paths.add("implicit equality")
+            feasible_point = witness
+    if strict_points:
+        k = F(1, len(strict_points))
+        return tuple(sum(coords, F(0)) * k for coords in zip(*strict_points))
+    if feasible_point is None:
+        paths.add("no inequality")
+        result = lp_feasible(constraints)
+        if not result.feasible:
+            raise InfeasibleSystemError("constraint system is infeasible")
+        feasible_point = result.witness
+    return feasible_point
+
+
+def _interior_point_systems(rng):
+    """Random systems of six kinds, in turn."""
+    coeffs = [F(0), F(1), F(-1), F(2), F(1, 7), F(3, 11), F(-5, 3), F(1, 2), F(-4, 9)]
+    rhs = [F(0), F(1), F(-2), F(1, 7), F(-3, 11), F(4), F(5, 6)]
+
+    def row(n, rels):
+        a = [rng.choice(coeffs) for _ in range(n)]
+        return LinearConstraint(a, rng.choice(rels), rng.choice(rhs))
+
+    def sign(n, j, rel=">="):
+        scale = rng.choice([1, 2, F(1, 3)])
+        return LinearConstraint([scale * int(i == j) for i in range(n)], rel, 0)
+
+    for k in itertools.count():
+        n = rng.randint(1, 4)
+        kind = k % 6
+        if kind == 0:  # unbounded slacks: few rows, free or half-bounded variables
+            cons = [row(n, ["<=", ">="]) for _ in range(rng.randint(1, 2))]
+            cons += [sign(n, j) for j in range(n) if rng.random() < 0.5]
+        elif kind == 1:  # duplicate sign bounds on one variable
+            j = rng.randrange(n)
+            cons = [sign(n, j), sign(n, j, rng.choice([">=", "<="]))]
+            cons += [sign(n, j)] * rng.randint(0, 1)
+            cons += [row(n, ["<=", ">=", "=="]) for _ in range(rng.randint(1, 3))]
+        elif kind == 2:  # implicit equalities through x0: a row and its reverse, a pinched cone
+            pinched = [j for j in range(n) if rng.random() < 0.5]
+            x0 = [F(0) if j in pinched else rng.choice(rhs) for j in range(n)]
+            cons = []
+            for rel in [rng.choice(["<=", ">="]) for _ in range(rng.randint(1, 3))]:
+                a = [rng.choice(coeffs) for _ in range(n)]
+                margin = rng.choice([0, 0, 1, F(1, 2)])
+                b = _dot(a, x0) + (margin if rel == "<=" else -margin)
+                cons.append(LinearConstraint(a, rel, b))
+            a = [rng.choice(coeffs) for _ in range(n)]
+            b = _dot(a, x0)
+            cons.append(LinearConstraint(a, "<=", b))
+            cons.append(LinearConstraint([2 * c for c in a], ">=", 2 * b))
+            if pinched:
+                cons += [sign(n, j) for j in pinched]
+                cons.append(LinearConstraint([int(j in pinched) for j in range(n)], "<=", 0))
+            rng.shuffle(cons)
+        elif kind == 3:  # equalities only
+            cons = [row(n, ["=="]) for _ in range(rng.randint(1, 3))]
+        elif kind == 4:  # >= and <= rows with mixed denominators, in a box
+            cons = [row(n, ["<=", ">="]) for _ in range(rng.randint(2, 5))]
+            cons += [LinearConstraint([int(i == j) for i in range(n)], "<=", 3) for j in range(n)]
+            cons += [sign(n, j) for j in range(n)]
+        else:  # infeasible: two parallel rows that exclude each other, among others
+            a = [rng.choice(coeffs[1:]) for _ in range(n)]
+            cons = [row(n, ["<=", ">=", "=="]) for _ in range(rng.randint(0, 3))]
+            cons += [LinearConstraint(a, ">=", 1), LinearConstraint([F(c, 3) for c in a], "<=", 0)]
+            cons += [sign(n, j) for j in range(n) if rng.random() < 0.5]
+            rng.shuffle(cons)
+        yield cons
+
+
+def test_relative_interior_point_matches_reference():
+    rng = random.Random(1967)
+    paths = set()
+    infeasible = 0
+    for cons in itertools.islice(_interior_point_systems(rng), 360):
+        try:
+            expected = _reference_relative_interior_point(cons, paths)
+        except InfeasibleSystemError:
+            infeasible += 1
+            with pytest.raises(InfeasibleSystemError) as raised:
+                relative_interior_point(cons)
+            certificate = raised.value.certificate
+            assert certificate == lp_feasible(cons).certificate
+            assert verify_farkas_certificate(cons, certificate)
+            continue
+        assert relative_interior_point(cons) == expected
+        tight = [i for i, con in enumerate(cons) if _reference_slack(con, expected) == 0]
+        assert implicit_equalities(cons) == [i for i in tight if cons[i].rel != "=="]
+    assert paths == {"unbounded", "implicit equality", "no inequality"}
+    assert infeasible >= 60
+
+
+def test_relative_interior_point_edge_cases():
+    with pytest.raises(linalg.LinalgError, match="num_vars required"):
+        relative_interior_point([])
+    # no inequality: the phase-1 witness, as lp_feasible returns it
+    equalities = [
+        LinearConstraint([1, 2, F(1, 3)], "==", 1),
+        LinearConstraint([0, 1, -1], "==", F(1, 2)),
+    ]
+    assert relative_interior_point(equalities) == lp_feasible(equalities).witness
+    # every instance carries a certificate attribute, None unless known
+    assert InfeasibleSystemError("no certificate").certificate is None
+    clash = [LinearConstraint([1], ">=", 1), LinearConstraint([1], "<=", 0)]
+    with pytest.raises(InfeasibleSystemError) as raised:
+        relative_interior_point(clash)
+    assert raised.value.certificate == lp_feasible(clash).certificate
+    with pytest.raises(InfeasibleSystemError) as raised:
+        implicit_equalities(clash)
+    assert verify_farkas_certificate(clash, raised.value.certificate)
+
+
 def _oriented_rows(cons):
     """(a, b) meaning a.x <= b, for both directions of each equality."""
     rows = []
