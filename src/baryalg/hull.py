@@ -7,7 +7,11 @@ test.  Over a localization Z[S^-1] the rational coefficient polytope is
 intersected with the ring lattice: its affine hull is computed via implicit
 equalities, solvability of that hull over the ring is decided by Smith
 normal form, and a witness is built by perturbing a relative interior point
-along integer kernel directions scaled by inverse prime powers.
+along integer kernel directions scaled by inverse prime powers.  That walk
+is in Python ints: the Smith normal form's ring point is an int vector over
+one common denominator D, each round rounds the steps to den = p^k by
+floor(a den + 1/2), ties rounded up, and checks the int vector xi * D * den
+for nonnegativity; only the accepted round's coefficients become Fractions.
 
 Whether a ring hull is closed under every rational operation is decided in
 closed form by one q-adic valuation, for q the smallest prime the ring does
@@ -127,9 +131,11 @@ def hull_member_Q(d: Sequence, points: Sequence[Sequence]) -> Optional[BaryCombi
     return membership_report_Q(d, points).combination
 
 
-def _nearest_with_denominator(q: Fraction, den: int) -> Fraction:
-    num, rem = divmod(q * den, 1)
-    return Fraction(int(num) + (1 if rem >= Fraction(1, 2) else 0), den)
+def _nearest_numerator(a: Fraction, den: int) -> int:
+    """floor(a * den + 1/2), ties rounded up: the numerator over den of the
+    nearest multiple of 1/den to a.  For a = n/d with d > 0 it is
+    (2 n den + d) // (2 d), in ints."""
+    return (2 * a.numerator * den + a.denominator) // (2 * a.denominator)
 
 
 def membership_report_T(
@@ -182,7 +188,7 @@ def membership_report_T(
         sum(u[i][j] * int_rhs[j] for j in range(len(int_rhs)))
         for i in range(len(int_rows))
     ]
-    y = [Fraction(0)] * m
+    y = []  # (j, c_j, d_j): y_j = c_j / d_j, and y_j = 0 off these
     for i in range(len(int_rows)):
         di = dmat[i][i] if i < m else 0
         if di == 0:
@@ -191,24 +197,27 @@ def membership_report_T(
         else:
             if c_vec[i] % s_free_part(di, ring) != 0:
                 return MembershipReport(False, None, "no-ring-point-on-affine-hull")
-            y[i] = Fraction(c_vec[i], di)
-    ring_point = [
-        sum((Fraction(v[i][j]) * y[j] for j in range(m)), Fraction(0)) for i in range(m)
-    ]
-    if not all(ring_contains(c, ring) for c in ring_point):
+            y.append((i, c_vec[i], di))
+    # The ring point V y is ring_num / ring_den over the common denominator
+    # ring_den = lcm(d_j), with ring_num_i = sum_j V_ij c_j (ring_den / d_j).
+    # In lowest terms ring_num_i / ring_den has the denominator
+    # ring_den / gcd(ring_num_i, ring_den).
+    ring_den = math.lcm(*(di for _, _, di in y))
+    ring_num = [sum(v[i][j] * c * (ring_den // dj) for j, c, dj in y) for i in range(m)]
+    if any(s_free_part(ring_den // math.gcd(r, ring_den), ring) != 1 for r in ring_num):
         raise HullError("Smith normal form produced a point outside the ring")
 
     # Ring points are dense on the affine hull, and the polytope has interior
     # there, so a witness exists: walk from the known ring point toward a
     # relative interior point along integer kernel directions, rounding the
-    # steps to denominators p^k until all inequalities hold.  The step along
-    # each direction is read off at its free column, where no other
+    # steps to denominators den = p^k until all inequalities hold.  The step
+    # along each direction is read off at its free column, where no other
     # direction is nonzero (see linalg.solve_affine).
     int_kernel = [integer_row(vec)[1] for vec in kernel]
     alpha = []
     for direction in int_kernel:
         free = max(i for i, c in enumerate(direction) if c != 0)
-        alpha.append((interior[free] - ring_point[free]) / direction[free])
+        alpha.append((interior[free] - Fraction(ring_num[free], ring_den)) / direction[free])
     # Rounding to denominator den moves xi_i off interior_i by at most
     # sum_j |direction_j[i]| / (2 den), and a coordinate with interior_i = 0
     # is 0 along every direction, so the walk succeeds once den >= bound.
@@ -217,15 +226,23 @@ def membership_report_T(
         for i, x in enumerate(interior)
         if x > 0
     )
+    # The walk is in ints over the denominator ring_den * den, den = p^k.
+    # Step k is s_k / den with s_k = floor(alpha_k den + 1/2), ties rounded
+    # up (see _nearest_numerator).  Then
+    # xi * ring_den * den = ring_num * den + ring_den * sum_k s_k direction_k
+    # is checked for nonnegativity, and only the accepted round builds
+    # Fractions.
+    columns = list(zip(*int_kernel))
     p = smallest_inverted_prime(ring)
     den = 1
     while True:
-        steps = [_nearest_with_denominator(a, den) for a in alpha]
-        xi = list(ring_point)
-        for step, direction in zip(steps, int_kernel):
-            for i in range(m):
-                xi[i] += step * direction[i]
-        if all(c >= 0 for c in xi):
+        steps = [_nearest_numerator(a, den) for a in alpha]
+        scaled_xi = [
+            r * den + ring_den * sum(s * c for s, c in zip(steps, column))
+            for r, column in zip(ring_num, columns)
+        ]
+        if all(x >= 0 for x in scaled_xi):
+            xi = [Fraction(x, ring_den * den) for x in scaled_xi]
             if not all(ring_contains(c, ring) for c in xi):
                 raise HullError("ring witness has a coefficient outside the ring")
             return MembershipReport(True, _combination(xi), "ring-combination")

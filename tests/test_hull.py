@@ -25,7 +25,15 @@ from baryalg.hull import (
 )
 from baryalg.linalg import rank
 from baryalg.mode import Leaf, Node, bary_op, eval_term
-from baryalg.scalar import DYADIC, RingSpec, prime_valuation, ring_contains
+from baryalg.scalar import (
+    DYADIC,
+    RingSpec,
+    integer_row,
+    prime_valuation,
+    ring_contains,
+    s_free_part,
+    smallest_inverted_prime,
+)
 
 F = Fraction
 
@@ -333,6 +341,119 @@ def test_membership_report_T_builds_one_tableau(monkeypatch):
         if reason == "rational-hull-infeasible":
             constraints = hull._membership_constraints(tuple(d), points)
             assert linalg.verify_farkas_certificate(constraints, report.certificate)
+
+
+def _fraction_ring_walk(d, points, ring, seen):
+    """membership_report_T with the ring point, the rounding and the walk in
+    Fraction, as they were before the integer walk; records in `seen` what
+    the walk met."""
+    constraints = hull._membership_constraints(d, points)
+    try:
+        interior = linalg.relative_interior_point(constraints)
+    except linalg.InfeasibleSystemError:
+        return "rational-hull-infeasible", None
+    inequalities = [con for con in constraints if con.rel != "=="]
+    hull_rows = [con for con in constraints if con.rel == "=="]
+    hull_rows += [con for con, x in zip(inequalities, interior) if x == 0]
+    eq_rows, eq_rhs = [], []
+    for con in hull_rows:
+        a, b = con.oriented()
+        eq_rows.append(list(a))
+        eq_rhs.append(b)
+    particular, kernel = linalg.solve_affine(eq_rows, eq_rhs)
+    if not kernel:
+        if all(ring_contains(c, ring) for c in particular):
+            return "unique-ring-combination", tuple(particular)
+        return "unique-rational-point-not-in-ring", None
+    m = len(points)
+    scaled = [integer_row(row + [b])[1] for row, b in zip(eq_rows, eq_rhs)]
+    u, dmat, v = linalg.smith_normal_form([row[:-1] for row in scaled])
+    c_vec = [sum(x * row[-1] for x, row in zip(u_row, scaled)) for u_row in u]
+    y = [F(0)] * m
+    for i, c in enumerate(c_vec):
+        di = dmat[i][i] if i < m else 0
+        if (di == 0 and c != 0) or (di != 0 and c % s_free_part(di, ring) != 0):
+            return "no-ring-point-on-affine-hull", None
+        if di != 0:
+            y[i] = F(c, di)
+    ring_point = [sum((F(v[i][j]) * y[j] for j in range(m)), F(0)) for i in range(m)]
+    assert all(ring_contains(c, ring) for c in ring_point)
+    int_kernel = [integer_row(vec)[1] for vec in kernel]
+    seen["kernel_dim_2"] |= len(kernel) >= 2
+    alpha = []
+    for direction in int_kernel:
+        free = max(i for i, c in enumerate(direction) if c != 0)
+        alpha.append((interior[free] - ring_point[free]) / direction[free])
+    p = smallest_inverted_prime(ring)
+    den = 1
+    while True:
+        steps = []
+        for a in alpha:
+            num, rem = divmod(a * den, 1)
+            seen["tie"] |= rem == F(1, 2)
+            steps.append(F(int(num) + (1 if rem >= F(1, 2) else 0), den))
+        seen["negative_step"] |= any(step < 0 for step in steps)
+        xi = list(ring_point)
+        for step, direction in zip(steps, int_kernel):
+            for i in range(m):
+                xi[i] += step * direction[i]
+        if all(c >= 0 for c in xi):
+            seen["den_above_1"] |= den > 1
+            return "ring-combination", tuple(xi)
+        den *= p
+
+
+def _ring_instance(rng):
+    """Generators in dims 1-3, m <= 7, a ring among Z[1/2], Z[1/3] and
+    Z[1/10], and a target that is mostly a ring combination of them."""
+    dim, m = rng.randint(1, 3), rng.randint(1, 7)
+    primes = rng.choice([(2,), (3,), (2, 5)])
+    points = [
+        tuple(F(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(dim))
+        for _ in range(m)
+    ]
+    if rng.random() < 0.8:
+        den = rng.choice(primes) ** rng.randint(0, 3)
+        cuts = sorted(rng.randint(0, den) for _ in range(m - 1))
+        weights = [F(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+    else:
+        weights = [F(rng.randint(0, 4)) for _ in range(m)]
+        weights[rng.randrange(m)] += 1
+        weights = [w / sum(weights) for w in weights]
+    d = tuple(
+        sum((w * p[j] for w, p in zip(weights, points)), F(0)) for j in range(dim)
+    )
+    return d, points, RingSpec(primes)
+
+
+def test_ring_walk_matches_fraction_reference():
+    rng = random.Random(20)
+    seen = dict.fromkeys(["kernel_dim_2", "den_above_1", "negative_step", "tie"], False)
+    reasons = set()
+    for _ in range(320):
+        d, points, ring = _ring_instance(rng)
+        report = membership_report_T(d, points, ring)
+        reason, xi = _fraction_ring_walk(d, points, ring, seen)
+        assert report.reason == reason
+        if xi is not None:
+            assert report.combination == hull._combination(xi)
+        reasons.add(reason)
+    assert seen == dict.fromkeys(seen, True)
+    assert {"ring-combination", "no-ring-point-on-affine-hull"} <= reasons
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_nearest_numerator_rounds_half_up(prime):
+    values = [F(1, 2), F(3, 2), F(5, 6), F(7, 3)]
+    for den in (1, prime, prime**2):
+        for a in values + [-a for a in values]:
+            expected = (a * den + F(1, 2)).__floor__()
+            assert hull._nearest_numerator(a, den) == expected
+    # exact ties round up, on both sides of 0
+    assert hull._nearest_numerator(F(1, 2), 1) == 1
+    assert hull._nearest_numerator(F(-1, 2), 1) == 0
+    assert hull._nearest_numerator(F(-3, 2), 1) == -1
+    assert hull._nearest_numerator(F(-5, 6), 3) == -2
 
 
 def test_vpolytope_vertices_and_dimension():
