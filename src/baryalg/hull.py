@@ -4,12 +4,15 @@ A point d belongs to the ring-coefficient hull of X when some coefficient
 vector xi with entries in the ring's closed unit interval satisfies
 sum(xi) = 1 and sum(xi_i * x_i) = d.  Over Q this is one exact feasibility
 test.  Over a localization Z[S^-1] the rational coefficient polytope is
-intersected with the ring lattice: its affine hull is computed via implicit
-equalities, solvability of that hull over the ring is decided by Smith
-normal form, and a witness is built by perturbing a relative interior point
-along integer kernel directions scaled by inverse prime powers.  That walk
-is in Python ints: the Smith normal form's ring point is an int vector over
-one common denominator D, each round rounds the steps to den = p^k by
+intersected with the ring lattice.  Its affine hull is the equality rows
+plus the inequalities tight at a relative interior point, and one Smith
+normal form U A V = D of those rows, scaled to ints, answers the rest: the
+rank, the unique point when the rank is full, whether the hull carries a
+ring point, that ring point, and the kernel directions (the last columns of
+V) along which a witness is reached by walking from the ring point toward
+the interior point with steps scaled by inverse prime powers.  That walk
+is in Python ints: the ring point is an int vector over one common
+denominator D, each round rounds the steps to den = p^k by
 floor(a den + 1/2), ties rounded up, and checks the int vector xi * D * den
 for nonnegativity; only the accepted round's coefficients become Fractions.
 
@@ -158,66 +161,61 @@ def membership_report_T(
     inequalities = [con for con in constraints if con.rel != "=="]
     hull_rows = [con for con in constraints if con.rel == "=="]
     hull_rows += [con for con, x in zip(inequalities, interior) if x == 0]
-    eq_rows, eq_rhs = [], []
-    for con in hull_rows:
-        a, b = con.oriented()
-        eq_rows.append(list(a))
-        eq_rhs.append(b)
-    solved = linalg.solve_affine(eq_rows, eq_rhs)
-    if solved is None:
-        raise HullError("the affine hull of a feasible coefficient polytope is empty")
-    particular, kernel = solved
-
-    if not kernel:
-        xi = particular
+    # One Smith normal form U A V = D of the hull rows A xi = b, scaled to
+    # ints, gives the rest.  With c = U b, xi = V y solves them when
+    # y_i = c_i / d_i for the first r, nonzero, d_i (r is the rank) and
+    # c_i = 0 for the zero d_i; the other y_i are free.
+    scaled = [integer_row(a + (b,))[1] for a, b in (con.oriented() for con in hull_rows)]
+    u, dmat, v = linalg.smith_normal_form([row[:-1] for row in scaled])
+    c_vec = [sum(x * row[-1] for x, row in zip(u_row, scaled)) for u_row in u]
+    y = []  # (j, c_j, d_j): y_j = c_j / d_j, and y_j = 0 off these
+    for i, c in enumerate(c_vec):
+        di = dmat[i][i] if i < m else 0
+        if di != 0:
+            y.append((i, c, di))
+        elif c != 0:
+            raise HullError("the affine hull of a feasible coefficient polytope is empty")
+    # The point V y is ring_num / ring_den over the common denominator
+    # ring_den = lcm(d_j), with ring_num_i = sum_j V_ij c_j (ring_den / d_j).
+    # In lowest terms ring_num_i / ring_den has the denominator
+    # ring_den / gcd(ring_num_i, ring_den).
+    ring_den = math.lcm(*(di for _, _, di in y))
+    ring_num = [sum(v[i][j] * c * (ring_den // dj) for j, c, dj in y) for i in range(m)]
+    if len(y) == m:
+        xi = [Fraction(x, ring_den) for x in ring_num]
         if all(ring_contains(c, ring) for c in xi):
             return MembershipReport(True, _combination(xi), "unique-ring-combination")
         return MembershipReport(
             False, None, "unique-rational-point-not-in-ring", rational_point=tuple(xi)
         )
 
-    # Does the affine hull carry any ring point at all?  Clear denominators
-    # and decide solvability over Z[S^-1] by Smith normal form: each nonzero
-    # invariant factor must divide its transformed right-hand side up to
-    # inverted primes, and zero rows must have zero right-hand side.
-    scaled = [integer_row(row + [b])[1] for row, b in zip(eq_rows, eq_rhs)]
-    int_rows = [row[:-1] for row in scaled]
-    int_rhs = [row[-1] for row in scaled]
-    u, dmat, v = linalg.smith_normal_form(int_rows)
-    c_vec = [
-        sum(u[i][j] * int_rhs[j] for j in range(len(int_rhs)))
-        for i in range(len(int_rows))
-    ]
-    y = []  # (j, c_j, d_j): y_j = c_j / d_j, and y_j = 0 off these
-    for i in range(len(int_rows)):
-        di = dmat[i][i] if i < m else 0
-        if di == 0:
-            if c_vec[i] != 0:
-                return MembershipReport(False, None, "no-ring-point-on-affine-hull")
-        else:
-            if c_vec[i] % s_free_part(di, ring) != 0:
-                return MembershipReport(False, None, "no-ring-point-on-affine-hull")
-            y.append((i, c_vec[i], di))
-    # The ring point V y is ring_num / ring_den over the common denominator
-    # ring_den = lcm(d_j), with ring_num_i = sum_j V_ij c_j (ring_den / d_j).
-    # In lowest terms ring_num_i / ring_den has the denominator
-    # ring_den / gcd(ring_num_i, ring_den).
-    ring_den = math.lcm(*(di for _, _, di in y))
-    ring_num = [sum(v[i][j] * c * (ring_den // dj) for j, c, dj in y) for i in range(m)]
+    # Does the affine hull carry any ring point at all?  Over Z[S^-1] each
+    # nonzero invariant factor must divide its c_i up to inverted primes;
+    # then V y is a ring point.
+    if any(c % s_free_part(di, ring) != 0 for _, c, di in y):
+        return MembershipReport(False, None, "no-ring-point-on-affine-hull")
     if any(s_free_part(ring_den // math.gcd(r, ring_den), ring) != 1 for r in ring_num):
         raise HullError("Smith normal form produced a point outside the ring")
 
     # Ring points are dense on the affine hull, and the polytope has interior
     # there, so a witness exists: walk from the known ring point toward a
     # relative interior point along integer kernel directions, rounding the
-    # steps to denominators den = p^k until all inequalities hold.  The step
-    # along each direction is read off at its free column, where no other
-    # direction is nonzero (see linalg.solve_affine).
-    int_kernel = [integer_row(vec)[1] for vec in kernel]
-    alpha = []
-    for direction in int_kernel:
-        free = max(i for i, c in enumerate(direction) if c != 0)
-        alpha.append((interior[free] - Fraction(ring_num[free], ring_den)) / direction[free])
+    # steps to denominators den = p^k until all inequalities hold.  The last
+    # m - r columns of V span the kernel; row-reduced with their coordinates
+    # reversed, they are the identity on the kernel's lexicographically last
+    # independent coordinates, which by matroid duality are A's free
+    # (non-pivot) columns.  Each primitive direction is positive at its free
+    # column, where no other direction is nonzero: the step is read there.
+    kernel = [list(column[::-1]) for column in list(zip(*v))[len(y):]]
+    free_columns = [m - 1 - c for c in reversed(linalg._gauss_jordan(kernel))]
+    int_kernel = []
+    for row in reversed(kernel):
+        g = math.gcd(*row)
+        int_kernel.append([x // g for x in reversed(row)])
+    alpha = [
+        (interior[f] - Fraction(ring_num[f], ring_den)) / direction[f]
+        for f, direction in zip(free_columns, int_kernel)
+    ]
     # Rounding to denominator den moves xi_i off interior_i by at most
     # sum_j |direction_j[i]| / (2 den), and a coordinate with interior_i = 0
     # is 0 along every direction, so the walk succeeds once den >= bound.

@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals and integers.
 
-Everything here is bit-exact: reduced row echelon form, affine system
-solving, Smith normal form with unimodular transforms, and exact linear
-feasibility with witnesses and Farkas certificates.  Feasibility and
-optimization share one two-phase simplex in standard form whose Bland
-pivoting rule cannot cycle; an infeasible system gets its certificate from
-the phase-1 duals.  Elimination is in Python ints as well: the simplex
+Everything here is bit-exact: reduced row echelon form, dense affine
+system solving (a reference for the tests), Smith normal form with
+unimodular transforms, and exact linear feasibility with witnesses and
+Farkas certificates.  Feasibility and optimization share one two-phase
+simplex in standard form whose Bland pivoting rule cannot cycle; an
+infeasible system gets its certificate from the phase-1 duals.  Elimination is in Python ints as well: the simplex
 pivots on int rows (see _Simplex), and rref, rank and the pivot readings
 share one fraction-free Gauss-Jordan kernel (_gauss_jordan), so Fractions
 appear only in returned values.
@@ -61,13 +61,30 @@ def _integer_rows(matrix: Sequence[Sequence]) -> list[list[int]]:
     return rows
 
 
+def _clear_column(rows: list[list[int]], r: int, col: int) -> None:
+    """Zero column col of every int row but row r, in place.
+
+    With p = rows[r][col], each row R_i with a nonzero entry f there becomes
+    p R_i - f R_r divided by its gcd; so it stays a positive multiple of
+    R_i - (f / p) R_r when p > 0.
+    """
+    row = rows[r]
+    p = row[col]
+    for i, other in enumerate(rows):
+        f = other[col]
+        if f != 0 and i != r:
+            new = [p * x - f * y for x, y in zip(other, row)]
+            g = gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
+
+
 def _gauss_jordan(rows: list[list[int]]) -> list[int]:
     """Reduce int rows in place to a multiple of their RREF; return the pivot columns.
 
     Row k < rank ends as p_k times RREF row k, with p_k > 0 its entry at
-    pivot k; the other rows end as zeros.  Each step replaces a row R_i by
-    p R_i - f R_r over its gcd, as in _Simplex._pivot, so every row stays
-    a nonzero multiple of the row the Fraction elimination would hold, and
+    pivot k; the other rows end as zeros.  Each step clears the pivot's
+    column (_clear_column, as _Simplex._pivot does), so every row stays a
+    nonzero multiple of the row the Fraction elimination would hold, and
     the pivots are the same.
     """
     pivots: list[int] = []
@@ -79,13 +96,7 @@ def _gauss_jordan(rows: list[list[int]]) -> list[int]:
             continue
         row = rows[found] if rows[found][col] > 0 else [-x for x in rows[found]]
         rows[found], rows[top] = rows[top], row
-        p = row[col]
-        for i, other in enumerate(rows):
-            f = other[col]
-            if f != 0 and i != top:
-                new = [p * x - f * y for x, y in zip(other, row)]
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
+        _clear_column(rows, top, col)
         pivots.append(col)
         top += 1
         if top == len(rows):
@@ -111,32 +122,15 @@ def rank(matrix: Sequence[Sequence]) -> int:
     return len(_pivots(matrix))
 
 
-def determinant(matrix: Sequence[Sequence]) -> Fraction:
-    m = _frac_matrix(matrix)
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise LinalgError("determinant needs a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
-
-
 def solve_affine(
     matrix: Sequence[Sequence], rhs: Sequence
 ) -> Optional[tuple[QVector, list[QVector]]]:
-    """Full exact solution set of M x = b.
+    """Full exact solution set of M x = b, by dense Fraction elimination.
+
+    This is the dense reference: no library code calls it.  The tests check
+    the integer kernels against it, formula._eliminate for chain formulas
+    and the Smith normal form walk of hull.membership_report_T for ring
+    hulls.
 
     Returns (particular solution, kernel basis), or None when the system is
     inconsistent.  Free variables are set to zero in the particular solution.
@@ -398,14 +392,7 @@ class _Simplex:
 
     def _pivot(self, r, c):
         """Make column c basic in row r, whose entry there must be positive."""
-        row = self.tableau[r]
-        p = row[c]
-        for i, other in enumerate(self.tableau):
-            f = other[c]
-            if f != 0 and i != r:
-                new = [p * x - f * y for x, y in zip(other, row)]
-                g = gcd(*new)
-                self.tableau[i] = [x // g for x in new] if g > 1 else new
+        _clear_column(self.tableau, r, c)
         self.basis[r] = c
 
     def _price_out(self, row, c):

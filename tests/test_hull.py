@@ -283,24 +283,31 @@ def test_caratheodory_makes_no_solve_affine_call(monkeypatch):
         assert sum(coeffs) == 1
 
 
-def test_membership_report_T_solves_affine_at_most_once(monkeypatch):
+def test_membership_report_T_makes_one_smith_normal_form_and_no_dense_solve(monkeypatch):
     calls = []
-    solve = linalg.solve_affine
+    snf = linalg.smith_normal_form
 
     def counted(*args):
         calls.append(args)
-        return solve(*args)
+        return snf(*args)
 
-    monkeypatch.setattr(linalg, "solve_affine", counted)
+    def forbidden(*args):
+        raise AssertionError("membership_report_T called the dense solve_affine")
+
+    monkeypatch.setattr(linalg, "solve_affine", forbidden)
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
     rng = random.Random(7)
-    walked = 0
+    reasons = set()
     for _ in range(40):
         d, points = _flat_instance(rng)
         calls.clear()
-        report = membership_report_T(d, points, DYADIC)
-        assert len(calls) <= 1
-        walked += report.reason == "ring-combination"
-    assert walked > 0
+        reasons.add(membership_report_T(d, points, DYADIC).reason)
+        assert len(calls) == 1
+    assert {"ring-combination", "unique-ring-combination"} <= reasons
+    # an infeasible query stops at the interior point, before the SNF
+    calls.clear()
+    assert membership_report_T([4], _points([0], [3]), DYADIC).reason == "rational-hull-infeasible"
+    assert calls == []
 
 
 def test_membership_report_T_builds_one_tableau(monkeypatch):
@@ -344,9 +351,12 @@ def test_membership_report_T_builds_one_tableau(monkeypatch):
 
 
 def _fraction_ring_walk(d, points, ring, seen):
-    """membership_report_T with the ring point, the rounding and the walk in
-    Fraction, as they were before the integer walk; records in `seen` what
-    the walk met."""
+    """membership_report_T as it was before the integer walk and the single
+    Smith normal form: the unique point and the kernel directions from the
+    dense solve_affine, and the ring point, the rounding and the walk in
+    Fraction.  Returns (reason, xi), xi being the witness or, for
+    unique-rational-point-not-in-ring, the rational point; records in `seen`
+    what the walk met."""
     constraints = hull._membership_constraints(d, points)
     try:
         interior = linalg.relative_interior_point(constraints)
@@ -364,7 +374,7 @@ def _fraction_ring_walk(d, points, ring, seen):
     if not kernel:
         if all(ring_contains(c, ring) for c in particular):
             return "unique-ring-combination", tuple(particular)
-        return "unique-rational-point-not-in-ring", None
+        return "unique-rational-point-not-in-ring", tuple(particular)
     m = len(points)
     scaled = [integer_row(row + [b])[1] for row, b in zip(eq_rows, eq_rhs)]
     u, dmat, v = linalg.smith_normal_form([row[:-1] for row in scaled])
@@ -435,11 +445,19 @@ def test_ring_walk_matches_fraction_reference():
         report = membership_report_T(d, points, ring)
         reason, xi = _fraction_ring_walk(d, points, ring, seen)
         assert report.reason == reason
-        if xi is not None:
+        if reason == "unique-rational-point-not-in-ring":
+            assert report.combination is None and report.rational_point == xi
+        elif xi is not None:
             assert report.combination == hull._combination(xi)
         reasons.add(reason)
     assert seen == dict.fromkeys(seen, True)
-    assert {"ring-combination", "no-ring-point-on-affine-hull"} <= reasons
+    # seed 20 draws them 171, 116, 24 and 9 times, in this order
+    assert reasons == {
+        "unique-ring-combination",
+        "ring-combination",
+        "no-ring-point-on-affine-hull",
+        "unique-rational-point-not-in-ring",
+    }
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5])

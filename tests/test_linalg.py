@@ -11,7 +11,6 @@ from baryalg import linalg
 from baryalg.linalg import (
     InfeasibleSystemError,
     LinearConstraint,
-    determinant,
     implicit_equalities,
     lp_extremum,
     lp_feasible,
@@ -212,7 +211,19 @@ def test_solve_affine_exactness_random():
 
 
 def _is_unimodular(m):
-    return abs(determinant(m)) == 1
+    """|det m| == 1, by Fraction elimination (row swaps only flip the sign)."""
+    rows = [[F(x) for x in row] for row in m]
+    det = F(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return abs(det) == 1
 
 
 def _snf_invariants(mat):
