@@ -65,14 +65,12 @@ class AffineMap:
         )
 
     def inverse(self) -> "AffineMap":
+        """The map sending the images of the affine basis 0, e_1, ..., e_n
+        back to that basis."""
         n = self.dimension
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.matrix)]
-        red, _, r = linalg.rref(aug)
-        if r != n:
-            raise AffineError("the linear part is singular; the map has no inverse")
-        inv = [row[n:] for row in red]
-        shift = [-sum(inv[i][j] * self.translation[j] for j in range(n)) for i in range(n)]
-        return AffineMap(inv, shift)
+        # i = -1 gives the origin
+        basis = [tuple(int(i == j) for j in range(n)) for i in range(-1, n)]
+        return map_from_correspondence([self.apply(x) for x in basis], basis)
 
 
 def _points(points: Sequence[Sequence]) -> list[Point]:

@@ -36,14 +36,6 @@ class CliError(Exception):
 
 
 @dataclass
-class JobConfig:
-    command: str
-    options: dict
-    timing: bool = False
-    out: Optional[str] = None
-
-
-@dataclass
 class Report:
     command: str
     parameters: dict
@@ -84,11 +76,12 @@ def _rational(text: str) -> Fraction:
 
 
 def _decode(text: str, what: str, read: Callable = lambda data: data):
-    """read applied to the JSON value of text.  Any ValueError (a decoding
-    error, or an integer longer than the interpreter reads), and a value
-    whose shape read cannot take, is bad-json."""
+    """read applied to the JSON value of text, with every JSON decimal kept
+    as its text so that parse_rational reads it exactly.  Any ValueError (a
+    decoding error, or an integer longer than the interpreter reads), and a
+    value whose shape read cannot take, is bad-json."""
     try:
-        return read(json.loads(text))
+        return read(json.loads(text, parse_float=str))
     except (ValueError, LookupError, TypeError) as exc:
         raise CliError("bad-json", f"{what}: {exc}") from exc
 
@@ -496,23 +489,21 @@ COMMANDS = {
 }
 
 
-def run(config: JobConfig) -> Report:
+def run(name: str, options: dict, timing: bool = False) -> Report:
     started = time.monotonic()
-    command = COMMANDS[config.command]
+    command = COMMANDS[name]
     try:
-        result = command.handler(config.options)
+        result = command.handler(options)
     # a ScalarError here is a result too large to print
     except (hull.HullError, mode.ModeError, affine.AffineError, LinalgError,
             ScalarError) as exc:
         raise CliError("bad-input", str(exc)) from exc
     except RecursionError as exc:
         raise CliError("bad-input", "input is nested too deeply") from exc
-    parameters = {
-        k: v for k, v in sorted(config.options.items()) if v is not None
-    }
-    elapsed = int((time.monotonic() - started) * 1000) if config.timing else None
+    parameters = {k: v for k, v in sorted(options.items()) if v is not None}
+    elapsed = int((time.monotonic() - started) * 1000) if timing else None
     return Report(
-        command=config.command,
+        command=name,
         parameters=parameters,
         result=result,
         principle=command.principle,
@@ -545,19 +536,12 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
-    options = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "out", "timing")
-    }
-    config = JobConfig(
-        command=args.command, options=options, timing=args.timing, out=args.out
-    )
+    options = vars(_parser().parse_args(argv))
+    name, out, timing = (options.pop(k) for k in ("command", "out", "timing"))
     try:
-        text = run(config).to_json()
-        if config.out:
-            _write(config.out, text + "\n")
+        text = run(name, options, timing).to_json()
+        if out:
+            _write(out, text + "\n")
         else:
             print(text)
     except CliError as exc:

@@ -500,8 +500,21 @@ def _node_to_json(node: SynthNode):
     return data
 
 
+def _json_rational(value) -> Fraction:
+    """A rational string, a JSON integer, or a JSON decimal kept as its text
+    (see formula_from_json), read exactly."""
+    return Fraction(value) if type(value) is int else parse_rational(value)
+
+
+def _json_index(value) -> int:
+    """A JSON integer; a bool, a decimal or a string is refused."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _node_from_json(data) -> SynthNode:
-    coeffs = tuple(parse_rational(c) for c in data["coeffs"])
+    coeffs = tuple(_json_rational(c) for c in data["coeffs"])
     kind = data["kind"]
     if kind == "identity":
         return SynthNode(kind=kind, coeffs=coeffs, variable=data["variable"])
@@ -538,22 +551,26 @@ def formula_to_json(phi: ChainFormula) -> str:
 def formula_from_json(text: str) -> ChainFormula:
     """Parse formula JSON, checking its size and every variable and input index.
 
-    arity must be at least 1, neither variables nor the relation count may
-    exceed MAX_FORMULA_VARIABLES, every variable index (bindings, relations,
+    arity, variables and every index are JSON integers; a relation parameter
+    is a rational string or a JSON number, read exactly from its text.  arity
+    must be at least 1, neither variables nor the relation count may exceed
+    MAX_FORMULA_VARIABLES, every variable index (bindings, relations,
     output) must lie in [0, variables) and every input index in [0, arity).
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=str)
         structure = (
             _node_from_json(data["structure"]) if "structure" in data else None
         )
         phi = ChainFormula(
-            arity=int(data["arity"]),
-            num_vars=int(data["variables"]),
-            input_bindings=tuple((int(v), int(j)) for v, j in data["inputs"]),
-            output_var=int(data["output"]),
+            arity=_json_index(data["arity"]),
+            num_vars=_json_index(data["variables"]),
+            input_bindings=tuple(
+                (_json_index(v), _json_index(j)) for v, j in data["inputs"]
+            ),
+            output_var=_json_index(data["output"]),
             relations=tuple(
-                Relation(int(a), int(b), parse_rational(q), int(r))
+                Relation(_json_index(a), _json_index(b), _json_rational(q), _json_index(r))
                 for a, b, q, r in data["relations"]
             ),
             structure=structure,

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
@@ -324,40 +325,35 @@ class VPolytope:
 
     The distinct generators are eliminated once (see _projection); the
     affine dimension, most vertex tests and the vertices' G read that one
-    elimination, cached per instance in _cache.
+    elimination, cached per instance.
     """
 
     generators: tuple[Point, ...]
-    _cache: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
 
     def __init__(self, generators: Sequence[Sequence]):
-        pts = _check_points(generators)
-        object.__setattr__(self, "generators", tuple(pts))
-        object.__setattr__(self, "_cache", [None, None])
+        object.__setattr__(self, "generators", tuple(_check_points(generators)))
 
     @property
     def dimension(self) -> int:
         return len(self.generators[0])
 
+    @cached_property
     def _distinct(self) -> tuple[list[Point], tuple[list[list[int]], int, int]]:
         """The distinct generators in input order, and their _projection."""
-        if self._cache[0] is None:
-            unique = list(dict.fromkeys(self.generators))
-            self._cache[0] = unique, _projection(unique)
-        return self._cache[0]
+        unique = list(dict.fromkeys(self.generators))
+        return unique, _projection(unique)
 
+    @cached_property
     def _extreme(self) -> tuple[Point, ...]:
-        # the body of the vertices property; gram calls it directly, so a
+        # the body of the vertices property; gram reads it directly, so a
         # read of gram is not a read of vertices
-        if self._cache[1] is None:
-            unique, (numerators, _, _) = self._distinct()
-            self._cache[1] = tuple(
-                g
-                for i, (g, row) in enumerate(zip(unique, numerators))
-                if all(x < row[i] for j, x in enumerate(row) if j != i)
-                or hull_member_Q(g, unique[:i] + unique[i + 1 :]) is None
-            )
-        return self._cache[1]
+        unique, (numerators, _, _) = self._distinct
+        return tuple(
+            g
+            for i, (g, row) in enumerate(zip(unique, numerators))
+            if all(x < row[i] for j, x in enumerate(row) if j != i)
+            or hull_member_Q(g, unique[:i] + unique[i + 1 :]) is None
+        )
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -370,12 +366,12 @@ class VPolytope:
         generator, hence on their hull, so g_i is not in it.  Every other
         generator is tested by hull_member_Q against the rest.
         """
-        return self._extreme()
+        return self._extreme
 
     @property
     def affine_dimension(self) -> int:
         """The rank of the centred distinct generators (see _projection)."""
-        _, (_, _, rank) = self._distinct()
+        _, (_, _, rank) = self._distinct
         return rank
 
     @property
@@ -385,8 +381,8 @@ class VPolytope:
         When every distinct generator is a vertex, this is the G the vertex
         tests read; otherwise the vertices are eliminated once more.
         """
-        unique, projection = self._distinct()
-        vertices = self._extreme()
+        unique, projection = self._distinct
+        vertices = self._extreme
         if len(vertices) < len(unique):
             projection = _projection(vertices)
         numerators, den, _ = projection

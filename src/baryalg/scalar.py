@@ -105,8 +105,11 @@ MAX_EXPONENT = 4300
 def parse_rational(text: str) -> Rational:
     """Parse "num/den", "num" or a decimal into an exact rational.
 
-    A decimal exponent above MAX_EXPONENT in magnitude is refused.
+    A decimal exponent above MAX_EXPONENT in magnitude is refused, and so
+    is an argument that is not a string.
     """
+    if not isinstance(text, str):
+        raise ScalarError(f"rational {text!r} is not a string")
     try:
         _, e, exponent = text.lower().partition("e")
         if e and abs(int(exponent)) > MAX_EXPONENT:
@@ -132,11 +135,7 @@ def format_rational(q: Rational) -> str:
 
 def ring_contains(q: Rational, ring: RingSpec) -> bool:
     """True iff q lies in Z[S^-1], i.e. its reduced denominator is S-smooth."""
-    den = Fraction(q).denominator
-    for p in ring.inverted_primes:
-        while den % p == 0:
-            den //= p
-    return den == 1
+    return s_free_part(Fraction(q).denominator, ring) == 1
 
 
 def integer_row(vector: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:

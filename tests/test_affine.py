@@ -147,6 +147,31 @@ def test_affine_map_validation_and_inverse():
     with pytest.raises(AffineError):
         AffineMap([[1, 2], [2, 4]], [0, 0])
 
+    def compose(f, g):  # f after g
+        n = f.dimension
+        a = [[sum(f.matrix[i][k] * g.matrix[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+        return AffineMap(a, f.apply(g.translation))
+
+    rng = random.Random(23)
+    dimensions = set()
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        try:
+            psi = AffineMap(
+                [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)],
+                [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)],
+            )
+        except AffineError:  # a singular draw
+            continue
+        dimensions.add(n)
+        identity = AffineMap([[int(i == j) for j in range(n)] for i in range(n)], [0] * n)
+        inv = psi.inverse()
+        assert compose(inv, psi) == identity
+        assert compose(psi, inv) == identity
+        assert inv.inverse() == psi
+    assert dimensions == {1, 2, 3, 4}
+
 
 def test_affine_map_apply_checks_the_dimension():
     psi = AffineMap([[2, 1], [0, 1]], [3, -1])

@@ -44,6 +44,38 @@ def test_hull_member_rational_default(capsys):
     assert report["result"]["combination"] == [[0, "2/3"], [1, "1/3"]]
 
 
+def test_json_points_are_read_exactly(capsys):
+    # a decimal that is no binary float, and one below the smallest float
+    for inline, as_json in [
+        (("0.30000000000000000001", "0,0.3"), ("[0.30000000000000000001]", "[[0],[0.3]]")),
+        (("1/2,1e-400", "0,0;1,0;0,1"), ("[0.5,1e-400]", "[[0,0],[1,0],[0,1]]")),
+    ]:
+        results = []
+        for point, point_set in (inline, as_json, (inline[0], as_json[1]), (as_json[0], inline[1])):
+            code, report = run_cli(capsys, "hull-member", "--point", point, "--set", point_set)
+            results.append((code, report["result"]))
+        assert results[1:] == results[:1] * 3
+    code, report = run_cli(capsys, "hull-member", "--point", "[1e4301]", "--set", "[[0],[1]]")
+    assert code == 3
+    assert report["error"]["code"] == "bad-rational"
+    assert "exceeds 4300" in report["error"]["message"]
+
+
+def test_point_files_read_json_numbers_like_strings(capsys, tmp_path):
+    numbers = tmp_path / "numbers.json"
+    strings = tmp_path / "strings.json"
+    numbers.write_text("[[0, 0], [0.30000000000000000001, 1e-400], [1, 2.5]]")
+    strings.write_text('[["0", "0"], ["0.30000000000000000001", "1e-400"], ["1", "2.5"]]')
+    right = '[["0","0"],["1","0"],["0","1"]]'
+    for command, extra in (("affine-equiv", []), ("iso-check", ["--ring", DYADIC_RING])):
+        results = []
+        for left in (numbers, strings):
+            code, report = run_cli(capsys, command, "--left", str(left), "--right", right, *extra)
+            assert code == 0
+            results.append(report["result"])
+        assert results[0] == results[1]
+
+
 def test_hull_member_infeasible_certificate(capsys):
     code, report = run_cli(capsys, "hull-member", "--point", "4", "--set", "0,3")
     assert code == 0
@@ -106,6 +138,14 @@ def test_verify_formula_roundtrip(capsys, tmp_path):
         capsys, "verify-formula", "--formula", str(path), "--coeffs=-1/3,4/3"
     )
     assert code == 0 and verdict["result"]["valid"] is False
+
+
+def test_formula_json_numbers_are_read_exactly(capsys):
+    # 0.5 is 1/2, and a decimal no float holds is not rounded to it
+    for param, valid in (("0.5", True), ("0.50000000000000000001", False)):
+        text = json.dumps({**MIDPOINT, "relations": [[0, 1, "x", 2]]}).replace('"x"', param)
+        code, report = run_cli(capsys, "verify-formula", "--formula", text, "--coeffs=1/2,1/2")
+        assert code == 0 and report["result"]["valid"] is valid
 
 
 def test_eval_term_command(capsys):
@@ -317,6 +357,11 @@ def test_error_codes(capsys, tmp_path):
         {"relations": [[0, 8, "1/2", 7]]},
         {"output": 9},
         {"inputs": [[0, 5], [1, 1]]},
+        # indices are JSON integers, never truncated or read from a bool
+        {"arity": 2.9, "variables": 3.5, "inputs": [[0.7, 0], [1, 1.2]], "output": 2.1},
+        {"arity": True},
+        {"output": "2"},
+        {"relations": [[0, 1, "1/2", 2.0]]},
     ]
     for change in out_of_range_formulas:
         text = json.dumps({**MIDPOINT, **change})
@@ -503,14 +548,20 @@ BIG = "7" * 5000
 SET_2D = '[["0","0"],["1","0"],["0","1"]]'
 # a well-formed value for each string flag, so fuzzed runs get past parsing
 FUZZ_VALID = {
-    "--point": ["1", "1/3,1/3", "-1e2", "[\"1/2\"]"],
-    "--set": ["0,3", "0,1;1,0;1,1", SET_2D],
+    "--point": ["1", "1/3,1/3", "-1e2", "[\"1/2\"]", "[0.30000000000000000001]", "[1e-400]"],
+    "--set": ["0,3", "0,1;1,0;1,1", SET_2D, "[[0],[0.3]]", "[[1e-400,0],[1,0.5],[0,1]]"],
     "--ring": [DYADIC_RING, RING3, '{"inverted_primes":[2,3]}'],
     "--coeffs": ["-1/2,3/2", "1/3,2/3", "1/2,1/4", "1/4,1/4,1/2"],
-    "--formula": [json.dumps(MIDPOINT), json.dumps({"formula": MIDPOINT})],
+    "--formula": [
+        json.dumps(MIDPOINT),
+        json.dumps({"formula": MIDPOINT}),
+        json.dumps({**MIDPOINT, "relations": [[0, 1, 0.5, 2]]}),
+        json.dumps({"formula": {**MIDPOINT, "relations": [[0, 1, 0.5, 2]]}}),
+        json.dumps({**MIDPOINT, "structure": {"kind": "identity", "coeffs": [0.5], "variable": 0}}),
+    ],
     "--term": ["(op x0 x1 1/2)", "(op (op x0 x1 1/3) x2 -2)"],
     "--points": ["0,1,2", "0,0;1,0;0,1"],
-    "--left": ['[["0"],["2"]]', SET_2D],
+    "--left": ['[["0"],["2"]]', SET_2D, "[[0.1],[1e-400]]"],
     "--right": ['[["1"],["3"]]', '[["0","0"],["2","0"],["1","1"]]'],
 }
 FUZZ_MALFORMED = st.one_of(
@@ -522,6 +573,12 @@ FUZZ_MALFORMED = st.one_of(
         '{"inverted_primes":[3317044064679887385961981]}', '{"inverted_primes":[4]}',
         '{"formula": 1, "result": [1]}', '{"formula": 1, "result": {}}',
         '{"formula": %s}' % DEEP, "0,1e4300", "1e-4300,1", "0,1;1", "[1,", ";",
+        "[1e4301]", "[[0],[1e-4301]]", "[[true],[null]]",
+        json.dumps({**MIDPOINT, "arity": 2.9, "output": 2.1}),
+        json.dumps({**MIDPOINT, "arity": True}),
+        json.dumps({**MIDPOINT, "relations": [[0, 1, "x", 2]]}).replace('"x"', "1e-400"),
+        json.dumps({**MIDPOINT, "relations": [[0, 1.5, "1/2", 2]]}),
+        json.dumps({**MIDPOINT, "relations": [[0, 1, None, 2]]}),
     ]),
 )
 

@@ -273,10 +273,36 @@ def test_formula_json_roundtrip():
         {"output": -1},
         {"inputs": [[0, 5], [4, 1]]},
         {"inputs": [[0, 0], [400, 1]]},
+        # indices are JSON integers: nothing is truncated or read from a bool
+        {"arity": 2.9, "variables": 3.5, "inputs": [[0.7, 0], [1, 1.2]], "output": 2.1},
+        {"arity": True},
+        {"variables": "3"},
+        {"inputs": [[0, 0], [True, 1]]},
+        {"output": float(data["output"])},
+        {"relations": [[0, 1.0, "1/2", 2]]},
+        {"relations": [[0, 1, None, 2]]},
     ]
     for change in out_of_range:
         with pytest.raises(FormulaError):
             formula_from_json(json.dumps({**data, **change}))
+
+
+def test_formula_json_numbers_are_read_exactly():
+    midpoint = {
+        "arity": 2,
+        "variables": 3,
+        "inputs": [[0, 0], [1, 1]],
+        "output": 2,
+        "relations": [[0, 1, "x", 2]],
+    }
+    # a numeric parameter or structure coefficient is read from its JSON text
+    for text, param in [("0.5", F(1, 2)), ("0.50000000000000000001", F(1, 2) + F(1, 10**20)),
+                        ("1e-400", F(1, 10**400))]:
+        phi = formula_from_json(json.dumps(midpoint).replace('"x"', text))
+        assert phi.relations == (Relation(0, 1, param, 2),)
+    structure = {"kind": "identity", "coeffs": [0.25, "3/4"], "variable": 0}
+    parsed = formula_from_json(json.dumps({**midpoint, "structure": structure}).replace('"x"', "0.5"))
+    assert parsed.structure.coeffs == (F(1, 4), F(3, 4))
 
 
 def test_format_formula_text():

@@ -575,6 +575,34 @@ def test_vertices_certified_by_their_g_row_take_no_lp(monkeypatch):
         assert calls == tested
 
 
+def test_polytope_eliminates_its_generators_once(monkeypatch):
+    calls = []
+
+    def counting(points):
+        calls.append(list(points))
+        return projection(points)
+
+    projection = hull._projection
+    monkeypatch.setattr(hull, "_projection", counting)
+    square = _points([0, 0], [1, 0], [1, 1], [0, 1])
+    centre = (F(1, 2), F(1, 2))
+    polytope = VPolytope(square + square[:1])
+    for _ in range(3):
+        assert polytope.vertices == tuple(square)
+        assert polytope.affine_dimension == 2
+        gram = polytope.gram
+    assert calls == [square]
+    # an interior generator: gram eliminates the vertices once more (gram is
+    # read once per affine_equivalence call, and is not cached)
+    calls.clear()
+    polytope = VPolytope(square + [centre])
+    for _ in range(3):
+        assert polytope.vertices == tuple(square)
+        assert polytope.affine_dimension == 2
+    assert polytope.gram == gram
+    assert calls == [square + [centre], square]
+
+
 def test_t_segment_points_examples():
     seg = TSegment([0], [1], 0, 3)
     assert [p[0] for p in t_segment_points(seg, DYADIC, 0)] == [0, 1, 2, 3]

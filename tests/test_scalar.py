@@ -88,6 +88,10 @@ def test_rational_string_roundtrip():
         parse_rational("1/0")
     with pytest.raises(ScalarError):
         parse_rational("0.5x")
+    # a JSON number reaches the parser as its text, never as a float
+    for value in (0.5, 1, True, None, [1], Fraction(1, 2)):
+        with pytest.raises(ScalarError):
+            parse_rational(value)
 
 
 def test_scalar_size_limits():
