@@ -21,8 +21,10 @@ A formula's system is eliminated once and cached on the formula
 and y, and the condition forms that vanish exactly where the system is
 consistent.  verify_phi and solved_coefficients read those forms, and
 check_satisfaction is an integer evaluation of them at the points and the
-target, one coordinate at a time.  Elimination pivots on the largest column
-(see _eliminate).
+target, one coordinate at a time.  Each equation is one sparse integer row
+over the variables and the symbols x_0..x_{k-1}, y together; elimination is
+fraction-free, divides each row by its content once, when the row is stored,
+and pivots on the largest column (see _eliminate).
 """
 
 from __future__ import annotations
@@ -54,11 +56,11 @@ class FormulaError(ValueError):
 #: Most variables (and, for parsed JSON, relations) a formula may have.  The
 #: solver's time and memory grow with formula size, and a chain has about as
 #: many variables as its scaled denominator.  At this size, on Python 3.11 and
-#: one core of a 2-vCPU machine, verify_phi took 0.8 s on a two-coefficient
-#: chain over the dyadics or over Z[1/19997], but 25 s on the five-coefficient
-#: [20/11, 13/11, -19/11, -19/11, 16/11] over Z[1/3767] (39401 variables):
-#: the reversed relations of a chain much longer than 2p reduce to rows of
-#: thousands of bits.
+#: one core of a 2-vCPU machine, verify_phi took 0.35 s on a two-coefficient
+#: chain over the dyadics and 0.26 s over Z[1/19997], but 2.5 s on the
+#: five-coefficient [20/11, 13/11, -19/11, -19/11, 16/11] over Z[1/3767]
+#: (39401 variables): the reversed relations of a chain much longer than 2p
+#: reduce to rows of up to 90000 bits.
 MAX_FORMULA_VARIABLES = 40_000
 
 
@@ -106,20 +108,20 @@ class ChainFormula:
         """The system solved once over the symbols x_0..x_{k-1}, y.
 
         The bindings and relations are eliminated with input j bound to the
-        unit form x_j; then the output binding u_out = y is reduced against
-        the same pivots.  Only that last row mentions y, so a condition with
-        a y term is what is left of it, and the relations alone fix every
+        symbol x_j; then the output binding u_out = y is reduced against the
+        same pivots.  Only that last row mentions y, so a condition with a y
+        term is what is left of it, and the relations alone fix every
         variable exactly when it is the one condition and no variable is
         free.
         """
         k = self.arity
-        units = [tuple([int(t == j) for t in range(k + 1)]) for j in range(k + 1)]
-        equations = _equations(self, units)
-        equations.append(({self.output_var: 1}, units[k]))
+        equations = _equations(self)
+        equations.append({self.output_var: 1, -1 - k: 1})
         pivots, order, conditions = _eliminate(equations)
+        conditions = tuple(tuple([c.get(-1 - j, 0) for j in range(k + 1)]) for c in conditions)
         determined = len(pivots) == self.num_vars and [c[k] != 0 for c in conditions] == [True]
         forms = _back_substitute(self.num_vars, pivots, order, k + 1)
-        return _Solution(forms, tuple(conditions), determined)
+        return _Solution(forms, conditions, determined)
 
 
 class _Solution(NamedTuple):
@@ -140,56 +142,62 @@ class _Solution(NamedTuple):
 # ---------------------------------------------------------------------------
 # Exact solver for the affine constraint systems
 # ---------------------------------------------------------------------------
+#
+# An equation is one sparse integer row, a dict column -> nonzero coefficient.
+# Column c >= 0 is the variable u_c and column -1-j the symbol s_j, with
+# s_0..s_{k-1} the inputs x_0..x_{k-1} and s_k the output y; the row stands
+# for sum(row[c] u_c for c >= 0) = sum(row[-1-j] s_j).
 
 
-def _reduce(row: dict[int, int], rhs: tuple[int, ...], pivots):
-    """Reduce one integer row against the stored pivot rows.
+def _reduce(row: dict[int, int], pivots) -> None:
+    """Reduce one row in place against the stored pivot rows.
 
-    The row (dict variable -> coefficient) and its right-hand side vector are
-    reduced, largest pivot column first, until no pivot column is left in
-    the row.  The arithmetic is fraction-free (Bareiss 1968): with pivot
-    entry a and row entry f, g = gcd(a, f),
-    row := (a/g) row - (f/g) pivot_row, and after every step the row is
-    divided by the gcd of its coefficients and right-hand side (its
-    content), which keeps the integers small.  Every integer row is a
-    nonzero multiple of the row that elimination over Q would hold, so the
-    pivots, and the solution, are the same.
+    Pivot columns are eliminated largest first until none is left in the
+    row.  The arithmetic is fraction-free (Bareiss 1968): with pivot entry
+    a and row entry f, g = gcd(a, f), row := (a/g) row - (f/g) pivot_row.
+    The row is not divided by its content here; _eliminate does that once,
+    when it stores the row.  Every step multiplies the row by a/g, which
+    has the sign of a, so each intermediate row is a positive multiple of
+    the primitive row with the same support: the steps, and the stored row,
+    are those that dividing out the content after every step would make.
     """
-    row = {c: v for c, v in row.items() if v}
     while True:
-        content = gcd(*row.values(), *rhs)
-        if content > 1:
-            row = {c: v // content for c, v in row.items()}
-            rhs = tuple([x // content for x in rhs])
-        piv = max((c for c in row if c in pivots), default=None)
-        if piv is None:
-            return row, rhs
+        cols = [c for c in row if c in pivots]
+        if not cols:
+            return
+        piv = max(cols)
         f = row.pop(piv)
-        prow, prhs = pivots[piv]
+        prow = pivots[piv]
         a = prow[piv]
-        g = gcd(a, f)
-        s, t = a // g, f // g
-        if s != 1:
-            row = {c: s * v for c, v in row.items()}
+        if a == 1:  # the common unit pivot: no gcd, no scaling
+            t = f
+        else:
+            g = gcd(a, f)
+            s, t = a // g, f // g
+            if s != 1:
+                for c in row:
+                    row[c] *= s
+        get = row.get
         for c, v in prow.items():
             if c != piv:
-                nv = row.get(c, 0) - t * v
+                nv = get(c, 0) - t * v
                 if nv:
                     row[c] = nv
                 else:
-                    row.pop(c, None)
-        rhs = tuple([s * x - t * y for x, y in zip(rhs, prhs)])
+                    del row[c]
 
 
 def _eliminate(equations):
-    """Gaussian elimination of (row, rhs) pairs in order, as built by _equations.
+    """Gaussian elimination of the rows, in order, as built by _equations.
 
-    Each reduced row that is left nonzero becomes the pivot row of its
-    largest column.  Returns (pivots, order, conditions): pivots maps a
-    column to its row, order lists the pivot columns as they were made, and
-    conditions holds the right-hand side of every row that reduced to zero
-    with a nonzero right-hand side, each a form that must vanish for the
-    system to be consistent.
+    Each row is reduced (_reduce) and then divided by its content, the gcd
+    of its entries, so every stored row is primitive.  A row with a
+    variable entry left becomes the pivot row of its largest column; a row
+    with only symbol entries left is a condition, a form in the symbols
+    that must vanish for the system to be consistent; an empty row is
+    dropped.  The rows are reduced in place.  Returns (pivots, order,
+    conditions): pivots maps a column to its row, and order lists the pivot
+    columns as they were made.
 
     Pivoting on the largest column keeps chains sparse (a Markowitz-style
     choice, 1957).  A chain numbers its variables in position order, so a
@@ -197,42 +205,51 @@ def _eliminate(equations):
     position i+p it reaches first, without a reduction, and each reversed
     relation at the top needs only a few.  On the 420 rows of a p = 211
     chain this makes 423 reductions and keeps every pivot row within 3
-    entries of 16 bits; pivoting on the smallest column made 22157
+    variable entries of 16 bits; pivoting on the smallest column made 22157
     reductions, with rows of up to 209 entries of 1614 bits.  Over an
     underdetermined system the two rules leave different variables free,
     so a witness may differ; consistency and every determined value do not.
     """
-    pivots: dict[int, tuple[dict[int, int], tuple[int, ...]]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     order: list[int] = []
-    conditions: list[tuple[int, ...]] = []
-    for row, rhs in equations:
-        row, rhs = _reduce(row, rhs, pivots)
-        if row:
-            col = max(row)
-            pivots[col] = (row, rhs)
+    conditions: list[dict[int, int]] = []
+    for row in equations:
+        _reduce(row, pivots)
+        if not row:
+            continue
+        content = gcd(*row.values())
+        if content > 1:
+            for c in row:
+                row[c] //= content
+        col = max(row)
+        if col >= 0:
+            pivots[col] = row
             order.append(col)
-        elif any(rhs):
-            conditions.append(rhs)
+        else:
+            conditions.append(row)
     return pivots, order, conditions
 
 
-def _back_substitute(num_vars: int, pivots, order: list[int], veclen: int):
-    """Each variable as (integer vector, denominator), free variables 0.
+def _back_substitute(num_vars: int, pivots, order: list[int], width: int):
+    """Each variable as (integer vector over the width symbols, denominator),
+    free variables 0.
 
     Pivot rows are solved in reverse order of creation; every value stays an
     integer vector over one denominator, reduced by its gcd.
     """
-    zero = (tuple([0] * veclen), 1)
+    zero = (tuple([0] * width), 1)
     scaled: list[tuple[tuple[int, ...], int]] = [zero] * num_vars
     for col in reversed(order):
-        prow, prhs = pivots[col]
+        prow = pivots[col]
         den = 1
         for c in prow:
-            if c != col:
+            if 0 <= c < col:
                 den = lcm(den, scaled[c][1])
-        acc = [den * x for x in prhs]
+        acc = [0] * width
         for c, v in prow.items():
-            if c != col:
+            if c < 0:
+                acc[-1 - c] += den * v
+            elif c != col:
                 nums, d = scaled[c]
                 m = v * (den // d)
                 acc = [x - m * y for x, y in zip(acc, nums)]
@@ -242,25 +259,22 @@ def _back_substitute(num_vars: int, pivots, order: list[int], veclen: int):
     return scaled
 
 
-def _equations(phi: ChainFormula, inputs: Sequence[tuple]):
-    """The system of phi with input j bound to the vector inputs[j], in integers.
+def _equations(phi: ChainFormula) -> list[dict[int, int]]:
+    """The system of phi as integer rows, input j bound to the symbol x_j.
 
-    One row d u_var = d inputs[j] per binding, d the least common
-    denominator of inputs[j]; then one homogeneous row
+    One row u_var = x_j per binding, then one homogeneous row
     (b-a) u_left + a u_right - b u_result = 0 per relation with parameter
     a/b, repeated variables merged and zero coefficients dropped.
     """
-    eqs = []
-    for var, j in phi.input_bindings:
-        d, rhs = integer_row(inputs[j])
-        eqs.append(({var: d}, rhs))
-    zero = tuple([0] * len(inputs[0])) if inputs else ()
+    eqs = [{var: 1, -1 - j: 1} for var, j in phi.input_bindings]
     for rel in phi.relations:
-        a, b = rel.param.numerator, rel.param.denominator
+        a, b = rel.param.as_integer_ratio()
         row = {rel.left: b - a}
         row[rel.right] = row.get(rel.right, 0) + a
         row[rel.result] = row.get(rel.result, 0) - b
-        eqs.append(({c: v for c, v in row.items() if v}, zero))
+        if 0 in row.values():
+            row = {c: v for c, v in row.items() if v}
+        eqs.append(row)
     return eqs
 
 
@@ -513,24 +527,42 @@ def _json_index(value) -> int:
     return value
 
 
+def _json_list(value) -> list:
+    if type(value) is not list:
+        raise TypeError(f"{value!r} is not a list")
+    return value
+
+
+def _json_indices(value, length: Optional[int] = None) -> tuple[int, ...]:
+    """A JSON list of integers, of the given length when one is given."""
+    indices = tuple(_json_index(x) for x in _json_list(value))
+    if length is not None and len(indices) != length:
+        raise ValueError(f"{value!r} is not a list of {length} integers")
+    return indices
+
+
 def _node_from_json(data) -> SynthNode:
-    coeffs = tuple(_json_rational(c) for c in data["coeffs"])
+    """A structure node: its kind decides which fields are read, and every
+    field is checked like the formula's own (see formula_from_json)."""
     kind = data["kind"]
+    coeffs = tuple(_json_rational(c) for c in _json_list(data["coeffs"]))
     if kind == "identity":
-        return SynthNode(kind=kind, coeffs=coeffs, variable=data["variable"])
+        return SynthNode(kind=kind, coeffs=coeffs, variable=_json_index(data["variable"]))
     if kind == "chain":
         return SynthNode(
             kind=kind,
             coeffs=coeffs,
-            scaled=tuple(data["scaled"]),
-            span=tuple(data["span"]),
-            position_vars=tuple(data["position_vars"]),
+            scaled=_json_indices(data["scaled"], 2),
+            span=_json_indices(data["span"], 2),
+            position_vars=_json_indices(data["position_vars"]),
         )
-    return SynthNode(
-        kind=kind,
-        coeffs=coeffs,
-        children=tuple(_node_from_json(c) for c in data["children"]),
-    )
+    if kind == "split":
+        return SynthNode(
+            kind=kind,
+            coeffs=coeffs,
+            children=tuple(_node_from_json(c) for c in _json_list(data["children"])),
+        )
+    raise ValueError(f"structure kind {kind!r} is not identity, chain or split")
 
 
 def formula_to_json(phi: ChainFormula) -> str:
@@ -552,7 +584,10 @@ def formula_from_json(text: str) -> ChainFormula:
     """Parse formula JSON, checking its size and every variable and input index.
 
     arity, variables and every index are JSON integers; a relation parameter
-    is a rational string or a JSON number, read exactly from its text.  arity
+    is a rational string or a JSON number, read exactly from its text.  An
+    optional structure is a tree of identity, chain and split nodes whose
+    coefficients are read like relation parameters and whose variables,
+    scaled pair, span pair and position variables are JSON integers.  arity
     must be at least 1, neither variables nor the relation count may exceed
     MAX_FORMULA_VARIABLES, every variable index (bindings, relations,
     output) must lie in [0, variables) and every input index in [0, arity).

@@ -128,9 +128,9 @@ def solve_affine(
     """Full exact solution set of M x = b, by dense Fraction elimination.
 
     This is the dense reference: no library code calls it.  The tests check
-    the integer kernels against it, formula._eliminate for chain formulas
-    and the Smith normal form walk of hull.membership_report_T for ring
-    hulls.
+    the integer kernels against it: for chain formulas, the sparse
+    fraction-free rows of formula._eliminate and _back_substitute, and for
+    ring hulls, the Smith normal form walk of hull.membership_report_T.
 
     Returns (particular solution, kernel basis), or None when the system is
     inconsistent.  Free variables are set to zero in the particular solution.

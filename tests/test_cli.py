@@ -362,6 +362,11 @@ def test_error_codes(capsys, tmp_path):
         {"arity": True},
         {"output": "2"},
         {"relations": [[0, 1, "1/2", 2.0]]},
+        # so is the optional structure, whose kind is identity, chain or split
+        {"structure": {"kind": "bogus", "coeffs": [], "children": []}},
+        {"structure": {"kind": "identity", "coeffs": ["1"], "variable": 2.5}},
+        {"structure": {"kind": "chain", "coeffs": ["1/2", "1/2"], "scaled": [1, 2],
+                       "span": [True], "position_vars": [0, 2, 1]}},
     ]
     for change in out_of_range_formulas:
         text = json.dumps({**MIDPOINT, **change})

@@ -1,5 +1,7 @@
-"""The dense Fraction solve_affine is a test reference: no library module
-but linalg, which defines it, may call it."""
+"""Exact rationals stay out of the integer kernels.  The dense Fraction
+solve_affine is a test reference: no library module but linalg, which
+defines it, may call it.  The chain-formula solver builds a Fraction only
+in the values it returns, never while it eliminates."""
 
 import ast
 from pathlib import Path
@@ -29,4 +31,18 @@ def test_only_linalg_calls_solve_affine():
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and _called_name(node) == "solve_affine"
         ]
+    assert found == []
+
+
+def test_formula_kernel_builds_no_fraction():
+    kernel = {"_reduce", "_eliminate", "_back_substitute"}
+    tree = ast.parse((PACKAGE / "formula.py").read_text())
+    functions = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in kernel]
+    assert {f.name for f in functions} == kernel
+    found = [
+        f"{f.name}:{node.lineno}"
+        for f in functions
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and _called_name(node) == "Fraction"
+    ]
     assert found == []

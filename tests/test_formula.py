@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,6 +307,44 @@ def test_formula_json_numbers_are_read_exactly():
     assert parsed.structure.coeffs == (F(1, 4), F(3, 4))
 
 
+def test_formula_json_structure_is_checked():
+    midpoint = {
+        "arity": 2,
+        "variables": 3,
+        "inputs": [[0, 0], [1, 1]],
+        "output": 2,
+        "relations": [[0, 1, "1/2", 2]],
+    }
+    chain = {"kind": "chain", "coeffs": ["1/2", "1/2"], "scaled": [1, 2], "span": [0, 2],
+             "position_vars": [0, 2, 1]}
+    identity = {"kind": "identity", "coeffs": ["1"], "variable": 0}
+    assert formula_from_json(json.dumps({**midpoint, "structure": chain})).structure.span == (0, 2)
+    malformed = [
+        {"kind": "bogus", "coeffs": [], "children": []},
+        {**identity, "variable": 2.5},
+        {**chain, "span": [True]},
+        {**identity, "variable": True},
+        {**identity, "variable": "0"},
+        {**identity, "coeffs": "1"},
+        {**chain, "scaled": [1, 2, 3]},
+        {**chain, "span": 0},
+        {**chain, "position_vars": [0, "2", 1]},
+        {"kind": "split", "coeffs": ["1"], "children": identity},
+        {"kind": "split", "coeffs": ["1"], "children": [identity, {**identity, "variable": None}]},
+        {"kind": "split", "coeffs": ["1"]},
+        {"coeffs": ["1"], "variable": 0},
+        [identity],
+    ]
+    for structure in malformed:
+        with pytest.raises(FormulaError):
+            formula_from_json(json.dumps({**midpoint, "structure": structure}))
+    # synthesized structures of every kind round-trip byte-identically
+    for xi, ring in [([F(1)], DYADIC), ([F(-1, 2), F(3, 2)], RING3),
+                     ([F(20, 11), F(13, 11), F(-19, 11), F(-19, 11), F(16, 11)], RING3)]:
+        text = formula_to_json(synth_phi(xi, ring))
+        assert formula_to_json(formula_from_json(text)) == text
+
+
 def test_format_formula_text():
     phi = synth_phi([F(-1, 2), F(3, 2)], RING3)
     text = format_formula(phi)
@@ -408,16 +448,87 @@ def test_large_prime_chain_stays_sparse(monkeypatch):
 
     reduce = formula_module._reduce
     monkeypatch.setattr(
-        formula_module, "_reduce", lambda row, rhs, pivots: reduce(row, rhs, CountingPivots(pivots))
+        formula_module, "_reduce", lambda row, pivots: reduce(row, CountingPivots(pivots))
     )
-    equations = _equations(phi, [(F(1), F(0)), (F(0), F(1))])
+    equations = _equations(phi)
     pivots, _, conditions = _eliminate(equations)
     assert len(equations) == phi.num_vars == 420
     assert len(pivots) == 420 and not conditions
     assert len(lookups) <= 2 * len(equations)
-    for row, rhs in pivots.values():
-        assert len(row) <= 4
-        assert max(abs(x).bit_length() for x in [*row.values(), *rhs]) <= 64
+    for row in pivots.values():
+        # variables are the columns c >= 0; the symbols x_0, x_1 are -1, -2
+        assert len([c for c in row if c >= 0]) <= 4
+        assert max(abs(x).bit_length() for x in row.values()) <= 64
+
+
+#: sha256 of the solved systems of _solver_grid() and _hand_grid(), computed
+#: with a kernel that divided the row by its content after every reduction
+#: step: dividing once, when a row is stored, gives the same pivot rows, forms
+#: and conditions, so the same free variables and the same signs.
+SOLVER_GRID_SHA256 = "8169aa9756b766a0fb8568a68e710ca024bc7b81a549492c0ca70426c0081d74"
+HAND_GRID_SHA256 = "b456bb0317a4a065b98e270bc5b8193e603d9525f3ccc8dbf6dae464c4a0009a"
+
+
+def _solver_grid():
+    """Coefficient vectors like the benchmark's formula workload: k 2-5 mixed
+    signs over one common denominator 7-128, over Z[1/2], Z[1/3] and Z[1/10];
+    then the five-coefficient vector over Z[1/211]."""
+    rng = random.Random(24)
+    for k in range(2, 6):
+        for primes in ((2,), (3,), (2, 5)):
+            for den in (7, 12, 20, 30, 45, 64, 90, 128):
+                while True:
+                    nums = [rng.choice((-1, 1)) * rng.randint(1, den) for _ in range(k - 1)]
+                    last = den - sum(nums)
+                    if last and abs(last) <= 2 * den and min(nums + [last]) < 0:
+                        break
+                yield [F(n, den) for n in nums + [last]], RingSpec(primes)
+    yield [F(20, 11), F(13, 11), F(-19, 11), F(-19, 11), F(16, 11)], RingSpec([211])
+
+
+def _hand_grid():
+    """Small hand-written formulas, many of them underdetermined or
+    inconsistent: any parameter, repeated and unbound variables."""
+    rng = random.Random(7)
+    for _ in range(2000):
+        n, arity = rng.randint(1, 8), rng.randint(1, 3)
+        bindings = [(rng.randrange(n), rng.randrange(arity)) for _ in range(rng.randint(0, arity + 1))]
+        relations = [
+            Relation(rng.randrange(n), rng.randrange(n), F(rng.randint(-18, 27), rng.randint(1, 9)),
+                     rng.randrange(n))
+            for _ in range(rng.randint(0, n + 1))
+        ]
+        yield ChainFormula(arity, n, tuple(bindings), rng.randrange(n), tuple(relations))
+
+
+def _solution_digest(phis):
+    digest = hashlib.sha256()
+    for phi in phis:
+        solution = phi._solution
+        digest.update(repr((solution.forms, solution.conditions, solution.determined)).encode())
+    return digest.hexdigest()
+
+
+def test_solver_output_is_pinned(monkeypatch):
+    import baryalg.formula as formula_module
+
+    eliminated = []
+
+    def recording(equations):
+        eliminated.append(_eliminate(equations))
+        return eliminated[-1]
+
+    monkeypatch.setattr(formula_module, "_eliminate", recording)
+    grid = list(_solver_grid())
+    phis = [synth_phi(xi, ring) for xi, ring in grid]
+    assert _solution_digest(phis) == SOLVER_GRID_SHA256
+    assert all(verify_phi(phi, xi) for phi, (xi, _) in zip(phis, grid))
+    hand = list(_hand_grid())
+    assert _solution_digest(hand) == HAND_GRID_SHA256
+    assert {s.determined for s in (phi._solution for phi in hand)} == {True, False}
+    assert len(eliminated) == len(phis) + len(hand)
+    for pivots, _, conditions in eliminated:
+        assert all(gcd(*row.values()) == 1 for row in [*pivots.values(), *conditions])
 
 
 def _three_term_vector(v, big_v):
@@ -513,7 +624,7 @@ def _assert_solves(phi, values, inputs):
 def test_solver_agrees_with_dense_solve(phi, data):
     k = phi.arity
     units = [tuple(F(int(t == j)) for t in range(k)) for j in range(k)]
-    pivots, order, conditions = _eliminate(_equations(phi, units))
+    pivots, order, conditions = _eliminate(_equations(phi))
     solved = None
     if not conditions:
         forms = _back_substitute(phi.num_vars, pivots, order, k)
