@@ -549,12 +549,18 @@ def _node_from_json(data) -> SynthNode:
     if kind == "identity":
         return SynthNode(kind=kind, coeffs=coeffs, variable=_json_index(data["variable"]))
     if kind == "chain":
+        span = _json_indices(data["span"], 2)
+        position_vars = _json_indices(data["position_vars"])
+        if span[0] > span[1] or len(position_vars) != span[1] - span[0] + 1:
+            raise ValueError(
+                f"chain span {list(span)} does not hold its {len(position_vars)} position variables"
+            )
         return SynthNode(
             kind=kind,
             coeffs=coeffs,
             scaled=_json_indices(data["scaled"], 2),
-            span=_json_indices(data["span"], 2),
-            position_vars=_json_indices(data["position_vars"]),
+            span=span,
+            position_vars=position_vars,
         )
     if kind == "split":
         return SynthNode(
@@ -563,6 +569,16 @@ def _node_from_json(data) -> SynthNode:
             children=tuple(_node_from_json(c) for c in _json_list(data["children"])),
         )
     raise ValueError(f"structure kind {kind!r} is not identity, chain or split")
+
+
+def _structure_variables(node: SynthNode) -> Iterator[int]:
+    """Every variable index a structure names: identity variables and chain
+    position variables."""
+    if node.kind == "identity":
+        yield node.variable
+    yield from node.position_vars
+    for child in node.children:
+        yield from _structure_variables(child)
 
 
 def formula_to_json(phi: ChainFormula) -> str:
@@ -587,10 +603,12 @@ def formula_from_json(text: str) -> ChainFormula:
     is a rational string or a JSON number, read exactly from its text.  An
     optional structure is a tree of identity, chain and split nodes whose
     coefficients are read like relation parameters and whose variables,
-    scaled pair, span pair and position variables are JSON integers.  arity
-    must be at least 1, neither variables nor the relation count may exceed
-    MAX_FORMULA_VARIABLES, every variable index (bindings, relations,
-    output) must lie in [0, variables) and every input index in [0, arity).
+    scaled pair, span pair and position variables are JSON integers; a
+    chain's span (lo, hi) has lo <= hi and one position variable per
+    position.  arity must be at least 1, neither variables nor the relation
+    count may exceed MAX_FORMULA_VARIABLES, every variable index (bindings,
+    relations, output, structure) must lie in [0, variables) and every input
+    index in [0, arity).
     """
     try:
         data = json.loads(text, parse_float=str)
@@ -621,6 +639,8 @@ def formula_from_json(text: str) -> ChainFormula:
             )
     variables = [phi.output_var] + [var for var, _ in phi.input_bindings]
     variables += [x for r in phi.relations for x in (r.left, r.right, r.result)]
+    if phi.structure is not None:
+        variables += _structure_variables(phi.structure)
     for kind, indices, limit in (
         ("variable", variables, phi.num_vars),
         ("input", [j for _, j in phi.input_bindings], phi.arity),

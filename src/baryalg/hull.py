@@ -2,19 +2,22 @@
 
 A point d belongs to the ring-coefficient hull of X when some coefficient
 vector xi with entries in the ring's closed unit interval satisfies
-sum(xi) = 1 and sum(xi_i * x_i) = d.  Over Q this is one exact feasibility
-test.  Over a localization Z[S^-1] the rational coefficient polytope is
-intersected with the ring lattice.  Its affine hull is the equality rows
-plus the inequalities tight at a relative interior point, and one Smith
-normal form U A V = D of those rows, scaled to ints, answers the rest: the
-rank, the unique point when the rank is full, whether the hull carries a
-ring point, that ring point, and the kernel directions (the last columns of
-V) along which a witness is reached by walking from the ring point toward
-the interior point with steps scaled by inverse prime powers.  That walk
-is in Python ints: the ring point is an int vector over one common
-denominator D, each round rounds the steps to den = p^k by
-floor(a den + 1/2), ties rounded up, and checks the int vector xi * D * den
-for nonnegativity; only the accepted round's coefficients become Fractions.
+sum(xi) = 1 and sum(xi_i * x_i) = d.  That system is built once, in ints,
+in the standard form the simplex reads (see _membership_system): each
+coordinate row scaled once to ints, the row of ones, and the sign bounds
+xi_j >= 0.  Over Q this is one exact feasibility test.  Over a
+localization Z[S^-1] the rational coefficient polytope is intersected with
+the ring lattice.  Its affine hull is the equality rows plus the sign
+bounds tight at a relative interior point, and one Smith normal form
+U A V = D of those int rows answers the rest: the rank, the unique point
+when the rank is full, whether the hull carries a ring point, that ring
+point, and the kernel directions (the last columns of V) along which a
+witness is reached by walking from the ring point toward the interior
+point with steps scaled by inverse prime powers.  That walk is in Python
+ints: the ring point is an int vector over one common denominator D, each
+round rounds the steps to den = p^k by floor(a den + 1/2), ties rounded
+up, and checks the int vector xi * D * den for nonnegativity; only the
+accepted round's coefficients become Fractions.
 
 Whether a ring hull is closed under every rational operation is decided in
 closed form by one q-adic valuation, for q the smallest prime the ring does
@@ -39,7 +42,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
-from .linalg import LinearConstraint
 from .mode import Point, as_point, bary_op
 from .scalar import (
     RingSpec,
@@ -49,9 +51,6 @@ from .scalar import (
     s_free_part,
     smallest_inverted_prime,
 )
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class HullError(ValueError):
@@ -89,19 +88,21 @@ def _check_points(points: Sequence[Sequence]) -> list[Point]:
     return pts
 
 
-def _membership_constraints(d: Point, pts: list[Point]) -> list[LinearConstraint]:
-    m = len(pts)
-    rows: list[LinearConstraint] = []
-    for coord in range(len(d)):
-        rows.append(
-            LinearConstraint([p[coord] for p in pts], "==", d[coord])
-        )
-    rows.append(LinearConstraint([_ONE] * m, "==", _ONE))
-    for i in range(m):
-        rows.append(
-            LinearConstraint([_ONE if j == i else _ZERO for j in range(m)], ">=", _ZERO)
-        )
-    return rows
+def _membership_system(d: Point, pts: list[Point]) -> linalg._StandardForm:
+    """The coefficient system of d over pts as the simplex reads it, in ints.
+
+    Constraint j < n is coordinate j, sum_i xi_i p_i[j] == d[j], scaled once
+    by integer_row; constraint n is sum(xi) == 1; constraint n + 1 + j is
+    the sign bound xi_j >= 0, that is -xi_j <= 0.
+    """
+    m, n = len(pts), len(d)
+    rows = []
+    for coord in range(n):
+        scale, (*a, b) = integer_row([p[coord] for p in pts] + [d[coord]])
+        rows.append((coord, scale, a, b, False))
+    rows.append((n, 1, [1] * m, 1, False))
+    bounds = {j: (n + 1 + j, -1) for j in range(m)}
+    return linalg._StandardForm(m, n + 1 + m, rows, bounds)
 
 
 def _combination(xi: Sequence[Fraction]) -> BaryCombination:
@@ -124,7 +125,7 @@ def membership_report_Q(d: Sequence, points: Sequence[Sequence]) -> MembershipRe
     d = as_point(d)
     if len(d) != len(pts[0]):
         raise HullError("query point dimension mismatch")
-    result = linalg.lp_feasible(_membership_constraints(d, pts))
+    result = linalg.lp_feasible(_membership_system(d, pts))
     if not result.feasible:
         return MembershipReport(False, None, "rational-hull-infeasible", result.certificate)
     return MembershipReport(True, _combination(result.witness), "rational-combination")
@@ -150,23 +151,22 @@ def membership_report_T(
     if len(d) != len(pts[0]):
         raise HullError("query point dimension mismatch")
     m = len(pts)
-    constraints = _membership_constraints(d, pts)
+    system = _membership_system(d, pts)
     # The affine hull of the coefficient polytope: the equality rows plus the
-    # nonnegativity rows that are tight on every feasible point, which are
-    # the ones tight at a relative interior point.  The j-th inequality row
-    # is xi_j >= 0.  An infeasible system raises with its Farkas certificate.
+    # sign bounds xi_j >= 0 that are tight on every feasible point, which are
+    # the ones tight at a relative interior point.  An infeasible system
+    # raises with its Farkas certificate.
     try:
-        interior = linalg.relative_interior_point(constraints)
+        interior = linalg.relative_interior_point(system)
     except linalg.InfeasibleSystemError as infeasible:
         return MembershipReport(False, None, "rational-hull-infeasible", infeasible.certificate)
-    inequalities = [con for con in constraints if con.rel != "=="]
-    hull_rows = [con for con in constraints if con.rel == "=="]
-    hull_rows += [con for con, x in zip(inequalities, interior) if x == 0]
-    # One Smith normal form U A V = D of the hull rows A xi = b, scaled to
-    # ints, gives the rest.  With c = U b, xi = V y solves them when
+    # One Smith normal form U A V = D of the hull rows A xi = b, in ints,
+    # gives the rest: the equality rows a | b as the system keeps them, and
+    # -e_j | 0 for each tight xi_j.  With c = U b, xi = V y solves them when
     # y_i = c_i / d_i for the first r, nonzero, d_i (r is the rank) and
     # c_i = 0 for the zero d_i; the other y_i are free.
-    scaled = [integer_row(a + (b,))[1] for a, b in (con.oriented() for con in hull_rows)]
+    scaled = [a + [b] for _, _, a, b, _ in system.rows]
+    scaled += [[-int(i == j) for i in range(m + 1)] for j, x in enumerate(interior) if x == 0]
     u, dmat, v = linalg.smith_normal_form([row[:-1] for row in scaled])
     c_vec = [sum(x * row[-1] for x, row in zip(u_row, scaled)) for u_row in u]
     y = []  # (j, c_j, d_j): y_j = c_j / d_j, and y_j = 0 off these

@@ -5,10 +5,14 @@ system solving (a reference for the tests), Smith normal form with
 unimodular transforms, and exact linear feasibility with witnesses and
 Farkas certificates.  Feasibility and optimization share one two-phase
 simplex in standard form whose Bland pivoting rule cannot cycle; an
-infeasible system gets its certificate from the phase-1 duals.  Elimination is in Python ints as well: the simplex
-pivots on int rows (see _Simplex), and rref, rank and the pivot readings
-share one fraction-free Gauss-Jordan kernel (_gauss_jordan), so Fractions
-appear only in returned values.
+infeasible system gets its certificate from the phase-1 duals.  The simplex
+reads one int standard form (_StandardForm): kept rows scaled to ints plus
+sign bounds.  _standard_form converts LinearConstraints into it at the
+public boundary, and hull builds its membership system in it directly.
+Elimination is in Python ints as well: the simplex pivots on int rows (see
+_Simplex), and rref, rank and the pivot readings share one fraction-free
+Gauss-Jordan kernel (_gauss_jordan), so Fractions appear only in returned
+values.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .scalar import integer_row
 
@@ -332,43 +336,90 @@ def verify_farkas_certificate(
 # -- Bland-rule simplex in standard form -------------------------------------
 
 
+class _StandardForm(NamedTuple):
+    """A constraint system as _Simplex reads it, in ints.
+
+    `rows` holds the kept rows (index, scale, a, b, inequality) in index
+    order: a.x <= b, or a.x == b for an equality, is constraint `index`
+    oriented to <= and multiplied by the positive int `scale`.  `bounds` maps
+    a variable j to (index, a_j) for the sign bound a_j x_j <= 0 that is
+    constraint `index`; a_j is an int or a Fraction.  `num_constraints`
+    counts both, so a certificate has one multiplier per constraint index.
+    """
+
+    num_vars: int
+    num_constraints: int
+    rows: list[tuple[int, int, list[int], int, bool]]
+    bounds: dict[int, tuple[int, Fraction]]
+
+
+def _with_sign_bounds(num_vars: int, rows) -> _StandardForm:
+    """The standard form of a system given as one int row per constraint.
+
+    `rows` holds (index, scale, a, b, inequality) for every constraint, in
+    index order.  The first inequality per variable with b = 0 and one
+    nonzero entry a_j' becomes that variable's sign bound, with a_j the
+    oriented coefficient a_j' / scale; the rest are kept.
+    """
+    kept, bounds = [], {}
+    for row in rows:
+        i, scale, a, b, inequality = row
+        if inequality and b == 0:
+            support = [j for j, c in enumerate(a) if c]
+            if len(support) == 1 and support[0] not in bounds:
+                bounds[support[0]] = (i, Fraction(a[support[0]], scale))
+                continue
+        kept.append(row)
+    return _StandardForm(num_vars, len(rows), kept, bounds)
+
+
+def _standard_form(constraints, num_vars: Optional[int] = None) -> _StandardForm:
+    """The standard form of a LinearConstraint sequence; a _StandardForm is kept as it is.
+
+    Each constraint, oriented to <=, is scaled by the lcm of its
+    denominators, and the sign bounds are picked by _with_sign_bounds: the
+    first inequality per variable whose oriented form is a_j x_j <= 0 (for
+    instance x_j >= 0), a_j being the oriented coefficient itself.
+    """
+    if isinstance(constraints, _StandardForm):
+        return constraints
+    constraints = list(constraints)
+    if num_vars is None:
+        if not constraints:
+            raise LinalgError("num_vars required for an empty system")
+        num_vars = len(constraints[0].coeffs)
+    rows = []
+    for i, con in enumerate(constraints):
+        if len(con.coeffs) != num_vars:
+            raise LinalgError("constraint arity mismatch")
+        orient = -1 if con.rel == ">=" else 1
+        scale, ints = integer_row(con.coeffs + (con.rhs,))
+        *a, b = (orient * x for x in ints)
+        rows.append((i, scale, a, b, con.rel != "=="))
+    return _with_sign_bounds(num_vars, rows)
+
+
 class _Simplex:
     """Exact two-phase simplex on A y = b, y >= 0, with Bland's rule.
 
-    The general system becomes standard form without doubling any row.  The
-    first inequality per variable whose oriented form is a_j x_j <= 0 (for
-    instance x_j >= 0) fixes the sign of that variable's single column and is
-    never scaled into a row; every other variable gets a + and a - column.
-    Each remaining inequality gets a slack column.  Rows are negated where needed so that
-    b >= 0, and one artificial column per row forms the starting basis.
-    Column layout: structural, slacks, artificials, right-hand side.
-    Entries are ints: a row R, divided by its gcd, stands for R / R[basic],
-    its basic entry being its positive scale, and the objective is the int
-    row `obj` over the positive denominator `den`.
+    It is built from a _StandardForm, which turns the general system into
+    standard form without doubling any row: a variable with a sign bound
+    a_j x_j <= 0 gets one column of that sign, every other variable a + and
+    a - column, and each kept inequality a slack column.  Rows are negated
+    where needed so that b >= 0, and one artificial column per row forms
+    the starting basis.  Column layout: structural, slacks, artificials,
+    right-hand side.  Entries are ints: a row R, divided by its gcd, stands
+    for R / R[basic], its basic entry being its positive scale, and the
+    objective is the int row `obj` over the positive denominator `den`.
     """
 
-    def __init__(self, constraints: Sequence[LinearConstraint], num_vars: int):
-        self.num_vars = num_vars
-        self.num_constraints = len(constraints)
-        self.bounds: dict[int, tuple[int, Fraction]] = {}  # var -> (index, a_j)
-        # kept rows (constraint index, scale, a, b, is_inequality): a.x <= b is
-        # the oriented row times scale, the lcm of its denominators
-        self.rows = []
-        for i, con in enumerate(constraints):
-            if len(con.coeffs) != num_vars:
-                raise LinalgError("constraint arity mismatch")
-            orient = -1 if con.rel == ">=" else 1
-            inequality = con.rel != "=="
-            if inequality and con.rhs == 0:
-                support = [j for j, c in enumerate(con.coeffs) if c]
-                if len(support) == 1 and support[0] not in self.bounds:
-                    self.bounds[support[0]] = (i, orient * con.coeffs[support[0]])
-                    continue
-            scale, ints = integer_row(con.coeffs + (con.rhs,))
-            *a, b = (orient * x for x in ints)
-            self.rows.append((i, scale, a, b, inequality))
+    def __init__(self, form: _StandardForm):
+        self.num_vars = form.num_vars
+        self.num_constraints = form.num_constraints
+        self.bounds = form.bounds
+        self.rows = form.rows
         self.columns: list[tuple[int, int]] = []  # (j, sign): x_j = sum sign * y
-        for j in range(num_vars):
+        for j in range(self.num_vars):
             if j in self.bounds:
                 self.columns.append((j, -1 if self.bounds[j][1] > 0 else 1))
             else:
@@ -508,19 +559,16 @@ def lp_feasible(
     """Exact feasibility of a finite rational constraint system.
 
     Feasible systems yield an exact rational witness; infeasible ones yield a
-    Farkas certificate checkable by verify_farkas_certificate.
+    Farkas certificate checkable by verify_farkas_certificate.  The system
+    may also be given as a _StandardForm (hull builds its membership
+    system so); num_vars is then ignored.
 
     The witness is the basic solution at which phase 1 stops.  Its nonzero
     variables have basic columns, so their columns are linearly independent
     in the rows that are not sign bounds: for equalities plus x >= 0, in the
     equality rows.  hull.caratheodory relies on this.
     """
-    constraints = list(constraints)
-    if num_vars is None:
-        if not constraints:
-            raise LinalgError("num_vars required for an empty system")
-        num_vars = len(constraints[0].coeffs)
-    sx = _Simplex(constraints, num_vars)
+    sx = _Simplex(_standard_form(constraints, num_vars))
     if sx.phase1() > 0:
         return LPResult(False, None, sx.certificate())
     return LPResult(True, sx.witness(), None)
@@ -537,7 +585,7 @@ def lp_extremum(
     the optimum exactly when status is "optimal".
     """
     objective = _frac_vector(objective)
-    sx = _Simplex(list(constraints), len(objective))
+    sx = _Simplex(_standard_form(constraints, len(objective)))
     if sx.phase1() > 0:
         return "infeasible", None, None
     sx.drop_artificials()
@@ -557,51 +605,65 @@ def _slack(con: LinearConstraint, point: Sequence[Fraction]) -> Fraction:
     return b - sum((c * x for c, x in zip(a, point)), Fraction(0))
 
 
-def _tighten(con: LinearConstraint, margin: Fraction) -> LinearConstraint:
-    if con.rel == "<=":
-        return LinearConstraint(con.coeffs, "<=", con.rhs - margin)
-    return LinearConstraint(con.coeffs, ">=", con.rhs + margin)
+def _tightened(form: _StandardForm, i: int) -> _StandardForm:
+    """The form _standard_form gives with inequality i's oriented right-hand side lowered by 1.
+
+    Every constraint is read as its int row, a sign bound a_j x_j <= 0
+    scaled to ints; inequality i's row a.x <= b, the oriented row times its
+    scale, gets b - scale; and the sign bounds are picked again.  So
+    tightening a sign bound hands its variable to the next row that could
+    sign it, if any, and a kept row tightened to b = 0 can become a sign
+    bound.
+    """
+    rows = list(form.rows)
+    for j, (k, a_j) in form.bounds.items():
+        scale, (a_jj,) = integer_row([a_j])
+        rows.append((k, scale, [a_jj if c == j else 0 for c in range(form.num_vars)], 0, True))
+    rows.sort(key=lambda row: row[0])
+    rows = [(k, scale, a, b - scale if k == i else b, ineq) for k, scale, a, b, ineq in rows]
+    return _with_sign_bounds(form.num_vars, rows)
 
 
 def relative_interior_point(constraints: Sequence[LinearConstraint]) -> tuple[Fraction, ...]:
     """A rational point strict on every inequality that is not an implicit equality.
 
-    The system gets one tableau and one phase 1.  An infeasible system
-    raises InfeasibleSystemError carrying that phase 1's Farkas
-    certificate; one with no inequality returns the phase-1 witness, as
-    lp_feasible does.  Otherwise each inequality's slack is maximized by
-    phase 2 from a fresh copy of the phase-1 basis, unless an earlier
-    maximizer is already strict on it; this is the LP lp_extremum would
-    solve, pivot for pivot.  Every maximizer is feasible, and one with
-    positive slack is strict on its own row, so the average of those is
-    strict on every inequality that some feasible point makes strict.
-    Strictness is read off the tableau (_Simplex.strict_rows).  An
-    unbounded slack is made strict by one feasibility test with its row
-    tightened by 1.
+    The system, a LinearConstraint sequence or a _StandardForm, gets one
+    tableau and one phase 1.  An infeasible system raises
+    InfeasibleSystemError carrying that phase 1's Farkas certificate; one
+    with no inequality returns the phase-1 witness, as lp_feasible does.
+    Otherwise each inequality's slack is maximized by phase 2 from a fresh
+    copy of the phase-1 basis, unless an earlier maximizer is already
+    strict on it.  The phase-2 objective is the inequality's int row a, or
+    a_j e_j for a sign bound: a positive multiple of its oriented row, so
+    Bland's rule makes the pivots lp_extremum would make.  Every maximizer
+    is feasible, and one with positive slack is strict on its own row, so
+    the average of those is strict on every inequality that some feasible
+    point makes strict.  Strictness is read off the tableau
+    (_Simplex.strict_rows).  An unbounded slack is made strict by one
+    phase 1 on the form with that inequality tightened by 1 (_tightened).
     """
-    constraints = list(constraints)
-    if not constraints:
-        raise LinalgError("num_vars required for an empty system")
-    num_vars = len(constraints[0].coeffs)
-    sx = _Simplex(constraints, num_vars)
+    form = _standard_form(constraints)
+    sx = _Simplex(form)
     if sx.phase1() > 0:
         error = InfeasibleSystemError("constraint system is infeasible")
         error.certificate = sx.certificate()
         raise error
-    if all(con.rel == "==" for con in constraints):
+    objectives = {i: a for i, _, a, _, inequality in form.rows if inequality}
+    for j, (i, a_j) in form.bounds.items():
+        objectives[i] = [a_j if k == j else 0 for k in range(form.num_vars)]
+    if not objectives:
         return sx.witness()
     sx.drop_artificials()
     tableau, basis = sx.tableau, sx.basis
     strict_points: list[tuple[Fraction, ...]] = []
     strict: set[int] = set()
     feasible_point = None
-    for i, con in enumerate(constraints):
-        if con.rel == "==" or i in strict:
+    for i in sorted(objectives):
+        if i in strict:
             continue
         sx.tableau, sx.basis = list(tableau), list(basis)
-        if sx.phase2(con.oriented()[0]) == "unbounded":
-            tightened = constraints[:i] + [_tighten(con, Fraction(1))] + constraints[i + 1 :]
-            tx = _Simplex(tightened, num_vars)
+        if sx.phase2(objectives[i]) == "unbounded":
+            tx = _Simplex(_tightened(form, i))
             tx.phase1()
             strict_points.append(tx.witness())
             strict |= tx.strict_rows() | {i}

@@ -367,6 +367,12 @@ def test_error_codes(capsys, tmp_path):
         {"structure": {"kind": "identity", "coeffs": ["1"], "variable": 2.5}},
         {"structure": {"kind": "chain", "coeffs": ["1/2", "1/2"], "scaled": [1, 2],
                        "span": [True], "position_vars": [0, 2, 1]}},
+        # and its variables and spans fit the formula
+        {"structure": {"kind": "identity", "coeffs": ["1"], "variable": 99}},
+        {"structure": {"kind": "chain", "coeffs": ["1/2", "1/2"], "scaled": [1, 2],
+                       "span": [5, -5], "position_vars": [-7]}},
+        {"structure": {"kind": "chain", "coeffs": ["1/2", "1/2"], "scaled": [1, 2],
+                       "span": [0, 2], "position_vars": [0, 2, -7]}},
     ]
     for change in out_of_range_formulas:
         text = json.dumps({**MIDPOINT, **change})

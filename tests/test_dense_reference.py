@@ -1,7 +1,9 @@
 """Exact rationals stay out of the integer kernels.  The dense Fraction
 solve_affine is a test reference: no library module but linalg, which
 defines it, may call it.  The chain-formula solver builds a Fraction only
-in the values it returns, never while it eliminates."""
+in the values it returns, never while it eliminates.  hull builds its
+membership LP in ints, as a standard form, with no LinearConstraint, and
+the simplex builds its tableau from that form with no Fraction."""
 
 import ast
 from pathlib import Path
@@ -43,6 +45,26 @@ def test_formula_kernel_builds_no_fraction():
         f"{f.name}:{node.lineno}"
         for f in functions
         for node in ast.walk(f)
+        if isinstance(node, ast.Call) and _called_name(node) == "Fraction"
+    ]
+    assert found == []
+
+
+def test_membership_lp_is_built_in_ints():
+    hull_tree = ast.parse((PACKAGE / "hull.py").read_text())
+    found = [
+        f"hull.py:{node.lineno}"
+        for node in ast.walk(hull_tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "LinearConstraint"
+    ]
+    linalg_tree = ast.parse((PACKAGE / "linalg.py").read_text())
+    (simplex,) = [
+        c for c in linalg_tree.body if isinstance(c, ast.ClassDef) and c.name == "_Simplex"
+    ]
+    (init,) = [f for f in simplex.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+    found += [
+        f"linalg.py:{node.lineno}"
+        for node in ast.walk(init)
         if isinstance(node, ast.Call) and _called_name(node) == "Fraction"
     ]
     assert found == []

@@ -345,6 +345,34 @@ def test_formula_json_structure_is_checked():
         assert formula_to_json(formula_from_json(text)) == text
 
 
+def test_formula_json_structure_values_are_checked():
+    # a structure names variables of the formula it describes, and a chain
+    # holds one position variable per position of its span
+    three = {"arity": 1, "variables": 3, "inputs": [[0, 0]], "output": 0, "relations": []}
+    chain = {"kind": "chain", "coeffs": ["1/2", "1/2"], "scaled": [1, 2], "span": [0, 2],
+             "position_vars": [0, 2, 1]}
+    identity = {"kind": "identity", "coeffs": ["1"], "variable": 2}
+    for structure in [chain, identity, {"kind": "split", "coeffs": ["1"], "children": [identity]}]:
+        formula_from_json(json.dumps({**three, "structure": structure}))
+    malformed = [
+        {**identity, "variable": 99},
+        {**identity, "variable": 3},
+        {**identity, "variable": -1},
+        {"kind": "split", "coeffs": ["1"], "children": [chain, {**identity, "variable": 3}]},
+        {**chain, "span": [5, -5], "position_vars": [-7]},
+        {**chain, "position_vars": [0, 2, -7]},
+        {**chain, "position_vars": [0, 2, 3]},
+        {**chain, "span": [2, 0]},
+        {**chain, "span": [0, 3]},
+        {**chain, "span": [0, 1]},
+        {**chain, "span": [0, 0], "position_vars": []},
+        {**chain, "span": [1, 0], "position_vars": []},
+    ]
+    for structure in malformed:
+        with pytest.raises(FormulaError):
+            formula_from_json(json.dumps({**three, "structure": structure}))
+
+
 def test_format_formula_text():
     phi = synth_phi([F(-1, 2), F(3, 2)], RING3)
     text = format_formula(phi)

@@ -42,6 +42,19 @@ def _points(*coords):
     return [tuple(F(c) for c in pt) for pt in coords]
 
 
+def _membership_constraints(d, points):
+    """The membership system as LinearConstraints, in hull._membership_system's
+    order: one equality per coordinate, sum(xi) == 1, then xi_j >= 0 for each j."""
+    m = len(points)
+    rows = [
+        linalg.LinearConstraint([p[coord] for p in points], "==", d[coord])
+        for coord in range(len(d))
+    ]
+    rows.append(linalg.LinearConstraint([1] * m, "==", 1))
+    rows += [linalg.LinearConstraint([int(i == j) for i in range(m)], ">=", 0) for j in range(m)]
+    return rows
+
+
 def _combination_evaluates(combo, points, target):
     assert combo.evaluate(points) == tuple(F(c) for c in target)
     total = sum((c for _, c in combo.support), F(0))
@@ -346,8 +359,72 @@ def test_membership_report_T_builds_one_tableau(monkeypatch):
         assert report.reason == reason
         assert counts == {"built": 1, "phase1": 1}
         if reason == "rational-hull-infeasible":
-            constraints = hull._membership_constraints(tuple(d), points)
+            constraints = _membership_constraints(tuple(d), points)
             assert linalg.verify_farkas_certificate(constraints, report.certificate)
+
+
+def _membership_instances(rng):
+    """(kind, d, points) in dims 1-3 with 1-10 points, drawn from a small pool
+    so that points repeat, with zero coordinates and mixed denominators.  d
+    is a convex combination of the points, one of them, or beyond their
+    largest first coordinate, in turn."""
+    for k in itertools.count():
+        dim, m = rng.randint(1, 3), rng.randint(1, 10)
+        pool = [
+            tuple(
+                F(rng.choice([0, 0, rng.randint(-6, 6)]), rng.choice([1, 2, 3, 7, 12]))
+                for _ in range(dim)
+            )
+            for _ in range(rng.randint(1, m))
+        ]
+        points = [rng.choice(pool) for _ in range(m)]
+        kind = ("combination", "generator", "outside")[k % 3]
+        if kind == "combination":
+            weights = [F(rng.randint(0, 3)) for _ in points]
+            weights[rng.randrange(m)] += 1
+            total = sum(weights)
+            d = tuple(
+                sum((w / total * p[j] for w, p in zip(weights, points)), F(0)) for j in range(dim)
+            )
+        elif kind == "generator":
+            d = rng.choice(points)
+        else:
+            top = max(p[0] for p in points) + F(1, rng.choice([1, 5]))
+            d = (top,) + tuple(F(rng.randint(-3, 3), 2) for _ in range(dim - 1))
+        yield kind, d, points
+
+
+def test_membership_system_matches_the_constraint_path():
+    """hull builds its system in ints; _standard_form of the LinearConstraint
+    system must give the same simplex, and the LPs the same answers."""
+    rng = random.Random(2026)
+    seen = {"combination": 0, "generator": 0, "outside": 0}
+    for kind, d, points in itertools.islice(_membership_instances(rng), 240):
+        system = hull._membership_system(d, points)
+        constraints = _membership_constraints(d, points)
+        built = linalg._Simplex(system)
+        parsed = linalg._Simplex(linalg._standard_form(constraints))
+        assert built.rows == parsed.rows
+        assert built.bounds == parsed.bounds
+        assert built.columns == parsed.columns
+        assert built.tableau == parsed.tableau
+        result = linalg.lp_feasible(system)
+        assert result == linalg.lp_feasible(constraints)
+        assert result.feasible == (kind != "outside")
+        seen[kind] += 1
+        if result.feasible:
+            interior = linalg.relative_interior_point(system)
+            assert interior == linalg.relative_interior_point(constraints)
+            assert all(con.satisfied_by(interior) for con in constraints)
+            continue
+        assert linalg.verify_farkas_certificate(constraints, result.certificate)
+        certificates = []
+        for given in (system, constraints):
+            with pytest.raises(linalg.InfeasibleSystemError) as raised:
+                linalg.relative_interior_point(given)
+            certificates.append(raised.value.certificate)
+        assert certificates == [result.certificate] * 2
+    assert seen == {"combination": 80, "generator": 80, "outside": 80}
 
 
 def _fraction_ring_walk(d, points, ring, seen):
@@ -357,7 +434,7 @@ def _fraction_ring_walk(d, points, ring, seen):
     Fraction.  Returns (reason, xi), xi being the witness or, for
     unique-rational-point-not-in-ring, the rational point; records in `seen`
     what the walk met."""
-    constraints = hull._membership_constraints(d, points)
+    constraints = _membership_constraints(d, points)
     try:
         interior = linalg.relative_interior_point(constraints)
     except linalg.InfeasibleSystemError:

@@ -440,10 +440,24 @@ def _reference_slack(con, point):
     return b - sum((c * x for c, x in zip(a, point)), F(0))
 
 
+def _sign_bounds(constraints):
+    """Indices of the sign bounds: per variable, the first inequality with
+    that one nonzero coefficient and right-hand side 0."""
+    signed, indices = set(), set()
+    for i, con in enumerate(constraints):
+        support = [j for j, c in enumerate(con.coeffs) if c]
+        if con.rel != "==" and con.rhs == 0 and len(support) == 1 and support[0] not in signed:
+            signed.add(support[0])
+            indices.add(i)
+    return indices
+
+
 def _reference_relative_interior_point(constraints, paths):
     """One lp_extremum per slack, each building its own tableau and phase 1.
 
-    Records in `paths` which branches it took.
+    Records in `paths` which branches it took, and whether an unbounded
+    slack was a sign bound's (and whether tightening it handed the sign of
+    its variable to a later row) or a kept row's.
     """
     constraints = list(constraints)
     strict_points = []
@@ -456,10 +470,16 @@ def _reference_relative_interior_point(constraints, paths):
         if status == "infeasible":
             raise InfeasibleSystemError("constraint system is infeasible")
         if status == "unbounded":
-            paths.add("unbounded")
             shift = -1 if con.rel == "<=" else 1
             tightened = LinearConstraint(con.coeffs, con.rel, con.rhs + shift)
             tightened = constraints[:i] + [tightened] + constraints[i + 1 :]
+            bounds = _sign_bounds(constraints)
+            if i in bounds:
+                paths.add("unbounded sign bound")
+                if _sign_bounds(tightened) - bounds:
+                    paths.add("sign handed on")
+            else:
+                paths.add("unbounded row")
             strict_points.append(lp_feasible(tightened).witness)
         elif value + b > 0:
             strict_points.append(witness)
@@ -552,8 +572,36 @@ def test_relative_interior_point_matches_reference():
         assert relative_interior_point(cons) == expected
         tight = [i for i, con in enumerate(cons) if _reference_slack(con, expected) == 0]
         assert implicit_equalities(cons) == [i for i in tight if cons[i].rel != "=="]
-    assert paths == {"unbounded", "implicit equality", "no inequality"}
+    assert paths == {
+        "unbounded sign bound",
+        "sign handed on",
+        "unbounded row",
+        "implicit equality",
+        "no inequality",
+    }
     assert infeasible >= 60
+
+
+def test_tightened_form_matches_the_converter():
+    """_tightened gives the form _standard_form gives the tightened system,
+    including where the sign of a variable changes hands."""
+    rng = random.Random(1968)
+    changes = {"handed on": 0, "row becomes bound": 0}
+    for cons in itertools.islice(_interior_point_systems(rng), 720):
+        form = linalg._standard_form(cons)
+        for i, con in enumerate(cons):
+            if con.rel == "==":
+                continue
+            shift = -1 if con.rel == "<=" else 1
+            tightened = LinearConstraint(con.coeffs, con.rel, con.rhs + shift)
+            expected = linalg._standard_form(cons[:i] + [tightened] + cons[i + 1 :])
+            got = linalg._tightened(form, i)
+            assert got == expected
+            before = {k for k, _ in form.bounds.values()}
+            after = {k for k, _ in got.bounds.values()}
+            changes["handed on"] += bool(after - before - {i})
+            changes["row becomes bound"] += i in after - before
+    assert min(changes.values()) >= 10
 
 
 def test_relative_interior_point_edge_cases():
@@ -689,7 +737,7 @@ def test_sign_bounds_are_recognised_before_scaling():
         LinearConstraint(unit(1, 1), "==", 0),  # an equality
         LinearConstraint(unit(2, 1), "<=", 1),  # a nonzero right-hand side
     ]
-    sx = linalg._Simplex(system, 4)
+    sx = linalg._Simplex(linalg._standard_form(system, 4))
     assert sx.bounds == {0: (0, F(-1)), 1: (1, F(-1)), 2: (2, F(-3, 2)), 3: (3, F(2, 5))}
     assert [row[0] for row in sx.rows] == [4, 5, 6, 7]
     assert sx.columns == [(0, 1), (1, 1), (2, 1), (3, -1)]
