@@ -26,10 +26,11 @@ not invert (see q_convexity_probe).
 A V-polytope eliminates its distinct generators once, into the projection
 G onto the row space of their centred matrix (see _projection).  Its rank
 is the affine dimension.  Row i of G is an affine functional evaluated at
-the generators, so a generator whose row is strictly largest at its
-diagonal is separated from the others' hull and is a vertex with no LP;
-only the rest take one Q-membership LP each.  The G of the vertices prunes
-the affine equivalence search.
+the generators, so a generator at which its row, or its row minus the row
+of the generator farthest from it, is strictly largest is separated from
+the others' hull and is a vertex with no LP; only the rest take one
+Q-membership LP each.  The G of the vertices prunes the affine equivalence
+search.
 """
 
 from __future__ import annotations
@@ -136,11 +137,11 @@ def hull_member_Q(d: Sequence, points: Sequence[Sequence]) -> Optional[BaryCombi
     return membership_report_Q(d, points).combination
 
 
-def _nearest_numerator(a: Fraction, den: int) -> int:
-    """floor(a * den + 1/2), ties rounded up: the numerator over den of the
-    nearest multiple of 1/den to a.  For a = n/d with d > 0 it is
-    (2 n den + d) // (2 d), in ints."""
-    return (2 * a.numerator * den + a.denominator) // (2 * a.denominator)
+def _nearest_numerator(n: int, d: int, den: int) -> int:
+    """floor(a * den + 1/2) for a = n/d, d > 0, ties rounded up: the
+    numerator over den of the nearest multiple of 1/den to a.  It is
+    (2 n den + d) // (2 d), in ints, so n/d need not be in lowest terms."""
+    return (2 * n * den + d) // (2 * d)
 
 
 def membership_report_T(
@@ -160,13 +161,14 @@ def membership_report_T(
         interior = linalg.relative_interior_point(system)
     except linalg.InfeasibleSystemError as infeasible:
         return MembershipReport(False, None, "rational-hull-infeasible", infeasible.certificate)
+    interior = [(x.numerator, x.denominator) for x in interior]  # int pairs n / d, d > 0
     # One Smith normal form U A V = D of the hull rows A xi = b, in ints,
     # gives the rest: the equality rows a | b as the system keeps them, and
     # -e_j | 0 for each tight xi_j.  With c = U b, xi = V y solves them when
     # y_i = c_i / d_i for the first r, nonzero, d_i (r is the rank) and
     # c_i = 0 for the zero d_i; the other y_i are free.
     scaled = [a + [b] for _, _, a, b, _ in system.rows]
-    scaled += [[-int(i == j) for i in range(m + 1)] for j, x in enumerate(interior) if x == 0]
+    scaled += [[-int(i == j) for i in range(m + 1)] for j, (x, _) in enumerate(interior) if x == 0]
     u, dmat, v = linalg.smith_normal_form([row[:-1] for row in scaled])
     c_vec = [sum(x * row[-1] for x, row in zip(u_row, scaled)) for u_row in u]
     y = []  # (j, c_j, d_j): y_j = c_j / d_j, and y_j = 0 off these
@@ -213,18 +215,21 @@ def membership_report_T(
     for row in reversed(kernel):
         g = math.gcd(*row)
         int_kernel.append([x // g for x in reversed(row)])
-    alpha = [
-        (interior[f] - Fraction(ring_num[f], ring_den)) / direction[f]
-        for f, direction in zip(free_columns, int_kernel)
-    ]
-    # Rounding to denominator den moves xi_i off interior_i by at most
+    # alpha_k = (interior_f - ring_num_f / ring_den) / direction_k[f], as
+    # the int pair (numerator, positive denominator)
+    alpha = []
+    for f, direction in zip(free_columns, int_kernel):
+        n, d = interior[f]
+        alpha.append((n * ring_den - ring_num[f] * d, d * ring_den * direction[f]))
+    # Rounding to denominator den moves xi_i off interior_i = n/d by at most
     # sum_j |direction_j[i]| / (2 den), and a coordinate with interior_i = 0
-    # is 0 along every direction, so the walk succeeds once den >= bound.
-    bound = max(
-        Fraction(sum(abs(direction[i]) for direction in int_kernel)) / (2 * x)
-        for i, x in enumerate(interior)
-        if x > 0
-    )
+    # is 0 along every direction, so the walk succeeds once den >= every
+    # bound sum_j |direction_j[i]| d / (2 n), held as the int pair (s, t).
+    bounds = [
+        (sum(abs(direction[i]) for direction in int_kernel) * d, 2 * n)
+        for i, (n, d) in enumerate(interior)
+        if n > 0
+    ]
     # The walk is in ints over the denominator ring_den * den, den = p^k.
     # Step k is s_k / den with s_k = floor(alpha_k den + 1/2), ties rounded
     # up (see _nearest_numerator).  Then
@@ -235,7 +240,7 @@ def membership_report_T(
     p = smallest_inverted_prime(ring)
     den = 1
     while True:
-        steps = [_nearest_numerator(a, den) for a in alpha]
+        steps = [_nearest_numerator(n, d, den) for n, d in alpha]
         scaled_xi = [
             r * den + ring_den * sum(s * c for s, c in zip(steps, column))
             for r, column in zip(ring_num, columns)
@@ -245,7 +250,7 @@ def membership_report_T(
             if not all(ring_contains(c, ring) for c in xi):
                 raise HullError("ring witness has a coefficient outside the ring")
             return MembershipReport(True, _combination(xi), "ring-combination")
-        if den >= bound:
+        if all(den * t >= s for s, t in bounds):
             raise HullError("ring witness search passed its rounding bound")
         den *= p
 
@@ -319,6 +324,25 @@ def _projection(points: Sequence[Point]) -> tuple[list[list[int]], int, int]:
     return numerators, den, rk
 
 
+def _separated(numerators: list[list[int]], i: int) -> bool:
+    """Whether f_i or f_i - f_k, for g_k farthest from g_i in G's metric,
+    is strictly largest at g_i among the generators (G = numerators / den).
+
+    Both are affine functionals, so one that is strictly largest at g_i
+    stays below its value there on the other generators' hull, and g_i is a
+    vertex; this holds for any k.  The farthest g_k maximizes
+    G_ii - 2 G_ik + G_kk, the squared length of G (e_i - e_k), which is
+    positive for distinct generators.  Both tests are O(m) in ints.
+    """
+    row = numerators[i]
+    if all(x < row[i] for j, x in enumerate(row) if j != i):
+        return True
+    k = max((j for j in range(len(row)) if j != i), key=lambda j: numerators[j][j] - 2 * row[j])
+    other = numerators[k]
+    top = row[i] - other[i]
+    return all(x - y < top for j, (x, y) in enumerate(zip(row, other)) if j != i)
+
+
 @dataclass(frozen=True)
 class VPolytope:
     """A bounded rational polytope given by finitely many generating points.
@@ -350,9 +374,8 @@ class VPolytope:
         unique, (numerators, _, _) = self._distinct
         return tuple(
             g
-            for i, (g, row) in enumerate(zip(unique, numerators))
-            if all(x < row[i] for j, x in enumerate(row) if j != i)
-            or hull_member_Q(g, unique[:i] + unique[i + 1 :]) is None
+            for i, g in enumerate(unique)
+            if _separated(numerators, i) or hull_member_Q(g, unique[:i] + unique[i + 1 :]) is None
         )
 
     @property
@@ -360,11 +383,16 @@ class VPolytope:
         """Extreme points: generators not in the rational hull of the others,
         in input order, duplicates dropped.
 
-        A generator g_i whose row of G is strictly largest at its diagonal
-        (G_ii > G_ij for every j != i) is a vertex without an LP: the affine
-        functional f_i with f_i(g_j) = G_ij is below G_ii at every other
-        generator, hence on their hull, so g_i is not in it.  Every other
-        generator is tested by hull_member_Q against the rest.
+        Two certificates from G prove a generator g_i a vertex without an
+        LP.  Row i of G is the affine functional f_i with f_i(g_j) = G_ij.
+        If the row is strictly largest at its diagonal (G_ii > G_ij for
+        every j != i), f_i is below G_ii at every other generator, hence on
+        their hull, so g_i is not in it.  Otherwise f_i - f_k is tried, for
+        g_k the generator farthest from g_i in G's metric (the k maximizing
+        G_ii - 2 G_ik + G_kk): it separates g_i alike when
+        G_ii - G_ki > G_ij - G_kj for every j != i (see _separated).  Only
+        the generators neither certifies are tested by hull_member_Q
+        against the rest.
         """
         return self._extreme
 

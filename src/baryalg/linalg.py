@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .scalar import integer_row
@@ -504,7 +504,7 @@ class _Simplex:
         for k, (j, sign) in enumerate(self.columns):
             if j in self.bounds:
                 i, a_j = self.bounds[j]
-                cert[i] = Fraction(-sign * self.obj[k], self.den) / a_j
+                cert[i] = Fraction(-sign * self.obj[k], self.den * a_j)
         return tuple(cert)
 
     def drop_artificials(self):
@@ -544,13 +544,20 @@ class _Simplex:
             owners[b] for row, b in zip(self.tableau, self.basis) if b in owners and row[-1] > 0
         }
 
+    def point(self) -> tuple[list[int], int]:
+        """The basic solution x as (numerators, den), den > 0 the lcm of
+        the basic entries of the rows whose basic column is structural."""
+        basic = [(row, b) for row, b in zip(self.tableau, self.basis) if b < len(self.columns)]
+        den = lcm(*(row[b] for row, b in basic))
+        x = [0] * self.num_vars
+        for row, b in basic:
+            j, sign = self.columns[b]
+            x[j] += sign * row[-1] * (den // row[b])
+        return x, den
+
     def witness(self) -> tuple[Fraction, ...]:
-        x = [Fraction(0)] * self.num_vars
-        for row, b in zip(self.tableau, self.basis):
-            if b < len(self.columns):
-                j, sign = self.columns[b]
-                x[j] += sign * Fraction(row[-1], row[b])
-        return tuple(x)
+        x, den = self.point()
+        return tuple(Fraction(n, den) for n in x)
 
 
 def lp_feasible(
@@ -641,8 +648,19 @@ def relative_interior_point(constraints: Sequence[LinearConstraint]) -> tuple[Fr
     point makes strict.  Strictness is read off the tableau
     (_Simplex.strict_rows).  An unbounded slack is made strict by one
     phase 1 on the form with that inequality tightened by 1 (_tightened).
+    The point is found in ints (_relative_interior) and read as Fractions
+    once.
     """
-    form = _standard_form(constraints)
+    x, den = _relative_interior(_standard_form(constraints))
+    return tuple(Fraction(n, den) for n in x)
+
+
+def _relative_interior(form: _StandardForm) -> tuple[list[int], int]:
+    """relative_interior_point of form as (numerators, den), den > 0.
+
+    Each maximizer is read off its tableau as _Simplex.point, and the
+    average of the strict ones is taken over the lcm of their denominators.
+    """
     sx = _Simplex(form)
     if sx.phase1() > 0:
         error = InfeasibleSystemError("constraint system is infeasible")
@@ -652,10 +670,10 @@ def relative_interior_point(constraints: Sequence[LinearConstraint]) -> tuple[Fr
     for j, (i, a_j) in form.bounds.items():
         objectives[i] = [a_j if k == j else 0 for k in range(form.num_vars)]
     if not objectives:
-        return sx.witness()
+        return sx.point()
     sx.drop_artificials()
     tableau, basis = sx.tableau, sx.basis
-    strict_points: list[tuple[Fraction, ...]] = []
+    strict_points: list[tuple[list[int], int]] = []
     strict: set[int] = set()
     feasible_point = None
     for i in sorted(objectives):
@@ -665,19 +683,20 @@ def relative_interior_point(constraints: Sequence[LinearConstraint]) -> tuple[Fr
         if sx.phase2(objectives[i]) == "unbounded":
             tx = _Simplex(_tightened(form, i))
             tx.phase1()
-            strict_points.append(tx.witness())
+            strict_points.append(tx.point())
             strict |= tx.strict_rows() | {i}
             continue
         rows = sx.strict_rows()
         if i in rows:
-            strict_points.append(sx.witness())
+            strict_points.append(sx.point())
             strict |= rows
         else:
-            feasible_point = sx.witness()  # an implicit equality: tight everywhere
-    if strict_points:
-        k = Fraction(1, len(strict_points))
-        return tuple(sum(coords, Fraction(0)) * k for coords in zip(*strict_points))
-    return feasible_point
+            feasible_point = sx.point()  # an implicit equality: tight everywhere
+    if not strict_points:
+        return feasible_point
+    den = lcm(*(d for _, d in strict_points))
+    scaled = [[n * (den // d) for n in x] for x, d in strict_points]
+    return [sum(coords) for coords in zip(*scaled)], den * len(strict_points)
 
 
 def implicit_equalities(constraints: Sequence[LinearConstraint]) -> list[int]:

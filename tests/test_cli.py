@@ -594,15 +594,15 @@ FUZZ_MALFORMED = st.one_of(
 )
 
 
+@pytest.mark.parametrize("name", sorted(COMMANDS))  # the same number of draws for each
 @settings(
-    max_examples=150,
+    max_examples=14,
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(data=st.data())
-def test_fuzzed_command_lines_end_in_a_report_or_a_structured_error(tmp_path, data):
-    name = data.draw(st.sampled_from(sorted(COMMANDS)))
+def test_fuzzed_command_lines_end_in_a_report_or_a_structured_error(tmp_path, name, data):
     argv = [name]
     for flag, kwargs in COMMANDS[name].arguments:
         if data.draw(st.sampled_from([True] * 7 + [False])):  # may drop a required flag

@@ -543,12 +543,14 @@ def test_nearest_numerator_rounds_half_up(prime):
     for den in (1, prime, prime**2):
         for a in values + [-a for a in values]:
             expected = (a * den + F(1, 2)).__floor__()
-            assert hull._nearest_numerator(a, den) == expected
+            assert hull._nearest_numerator(a.numerator, a.denominator, den) == expected
+            # a pair not in lowest terms rounds alike
+            assert hull._nearest_numerator(6 * a.numerator, 6 * a.denominator, den) == expected
     # exact ties round up, on both sides of 0
-    assert hull._nearest_numerator(F(1, 2), 1) == 1
-    assert hull._nearest_numerator(F(-1, 2), 1) == 0
-    assert hull._nearest_numerator(F(-3, 2), 1) == -1
-    assert hull._nearest_numerator(F(-5, 6), 3) == -2
+    assert hull._nearest_numerator(1, 2, 1) == 1
+    assert hull._nearest_numerator(-1, 2, 1) == 0
+    assert hull._nearest_numerator(-3, 2, 1) == -1
+    assert hull._nearest_numerator(-5, 6, 3) == -2
 
 
 def test_vpolytope_vertices_and_dimension():
@@ -646,10 +648,74 @@ def test_vertices_certified_by_their_g_row_take_no_lp(monkeypatch):
     monkeypatch.setattr(hull, "hull_member_Q", counting)
     square = _points([0, 0], [1, 0], [1, 1], [0, 1])
     centre = (F(1, 2), F(1, 2))
-    for generators, tested in [(square, []), (HEXAGON, []), (square + [centre], [centre])]:
+    # on a parabola the rows of the middle points fail, and f_i - f_k for
+    # the farthest g_k certifies all but (1, 1) in the second one
+    parabola = _points(*([t, t * t] for t in range(6)))
+    spread = _points(*([t, t * t] for t in (0, 1, 3, 4, 9)))
+    for generators, vertices, tested in [
+        (square, square, []),
+        (HEXAGON, HEXAGON, []),
+        (square + [centre], square, [centre]),
+        (parabola, parabola, []),
+        (spread, spread, [(F(1), F(1))]),
+    ]:
         calls.clear()
-        assert VPolytope(generators).vertices == tuple(square if tested else generators)
+        assert VPolytope(generators).vertices == tuple(vertices)
         assert calls == tested
+
+
+def _separating_functional(gram, i):
+    """A row f_i or a difference f_i - f_k of gram, k != i, strictly largest at i."""
+    others = [row for k, row in enumerate(gram) if k != i]
+    candidates = [gram[i]] + [[x - y for x, y in zip(gram[i], row)] for row in others]
+    return next(
+        (f for f in candidates if all(x < f[i] for j, x in enumerate(f) if j != i)), None
+    )
+
+
+def test_vertices_certified_without_an_lp_have_a_separating_functional(monkeypatch):
+    """Every vertex the LP is not asked about is separated from the others'
+    hull by an affine functional, re-checked in Fractions from gram: the
+    generators lie on the moment curve, so all are vertices and gram is the G
+    the vertex tests read."""
+    calls = []
+
+    def counting(d, points):
+        calls.append(d)
+        return hull_member_Q(d, points)
+
+    monkeypatch.setattr(hull, "hull_member_Q", counting)
+    rng = random.Random(26)
+    certified = {"row": 0, "difference": 0, "lp": 0}
+    for _ in range(150):
+        dim = rng.randint(2, 3)
+        values = sorted({F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(20)})
+        ts = rng.sample(values, min(len(values), rng.randint(dim + 1, 9)))
+        shift = [F(rng.randint(-5, 5)) for _ in range(dim)]
+        while True:
+            matrix = [[F(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
+            if rank(matrix) == dim:
+                break
+        curve = [[t**e for e in range(1, dim + 1)] for t in ts]
+        points = [
+            tuple(sum(a * x for a, x in zip(row, p)) + s for row, s in zip(matrix, shift))
+            for p in curve
+        ]
+        calls.clear()
+        polytope = VPolytope(points)
+        assert polytope.vertices == tuple(points)
+        gram = polytope.gram
+        # every row of gram is an affine functional evaluated at the points
+        affine = rank([(1, *p) for p in points])
+        assert all(rank([(1, *p, x) for p, x in zip(points, row)]) == affine for row in gram)
+        for i, g in enumerate(points):
+            if g in calls:
+                certified["lp"] += 1
+                continue
+            f = _separating_functional(gram, i)
+            assert f is not None
+            certified["row" if f is gram[i] else "difference"] += 1
+    assert min(certified.values()) >= 100
 
 
 def test_polytope_eliminates_its_generators_once(monkeypatch):

@@ -941,3 +941,58 @@ def test_simplex_tableau_holds_only_ints(monkeypatch):
     for sx in made:
         entries = [x for row in sx.tableau for x in row] + [*sx.obj, sx.den]
         assert all(type(x) is int for x in entries)
+
+
+def _per_column_reading(sx):
+    """(witness, certificate) of lp_feasible, read off sx after phase 1 one
+    column at a time in Fractions: the reference for _Simplex's reading over
+    one common denominator."""
+    if sx.phase1() > 0:
+        cert = [F(0)] * sx.num_constraints
+        for r, (i, *_) in enumerate(sx.rows):
+            cert[i] = F(sx.sigma[r] * (sx.obj[sx.art_at + r] - sx.den), sx.den)
+        for k, (j, sign) in enumerate(sx.columns):
+            if j in sx.bounds:
+                i, a_j = sx.bounds[j]
+                cert[i] = F(-sign * sx.obj[k], sx.den) / a_j
+        return None, tuple(cert)
+    x = [F(0)] * sx.num_vars
+    for row, b in zip(sx.tableau, sx.basis):
+        if b < len(sx.columns):
+            j, sign = sx.columns[b]
+            x[j] += sign * F(row[-1], row[b])
+    return tuple(x), None
+
+
+def test_lp_answers_match_a_per_column_reading():
+    rng = random.Random(2026)
+    scales = [F(1), F(-1), F(3), F(-2), F(3, 2), F(-2, 5), F(1, 3), F(-7, 4)]
+    coeffs = [F(0), F(1), F(-1), F(2), F(1, 7), F(-5, 3), F(1, 2), F(3, 11)]
+    rhs = [F(0), F(1), F(-2), F(1, 7), F(-3, 11), F(4), F(5, 6)]
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        cons = []
+        for j in range(n):
+            if rng.random() < 0.8:  # the sign bound c x_j <= 0 or c x_j >= 0
+                unit = [rng.choice(scales) * int(k == j) for k in range(n)]
+                cons.append(LinearConstraint(unit, rng.choice(["<=", ">="]), 0))
+        for _ in range(rng.randint(1, 4)):
+            a = [rng.choice(coeffs) for _ in range(n)]
+            cons.append(LinearConstraint(a, rng.choice(["<=", ">=", "=="]), rng.choice(rhs)))
+        rng.shuffle(cons)
+        sx = linalg._Simplex(linalg._standard_form(cons, n))
+        res = lp_feasible(cons, n)
+        assert (res.witness, res.certificate) == _per_column_reading(sx)
+        if res.feasible:
+            seen.add("feasible")
+            denominators = {x.denominator for x in res.witness}
+            seen.add("witness over several denominators" * (len(denominators) > 2))
+            continue
+        assert verify_farkas_certificate(cons, res.certificate)
+        for i, a_j in sx.bounds.values():
+            if res.certificate[i] != 0:
+                seen.add("negative a_j" * (a_j < 0))
+                seen.add("fractional a_j" * (a_j.denominator > 1))
+    covered = {"feasible", "witness over several denominators", "negative a_j", "fractional a_j"}
+    assert covered <= seen
