@@ -94,6 +94,9 @@ class ChainFormula:
     input_bindings are (variable, input index) pairs meaning u_var = x_j;
     output_var is the variable bound to y.  Every relation parameter lies in
     the open unit interval of the ring the formula was built for.
+    structure is synth_phi's recursion tree, for reports: formula_to_json
+    writes it and formula_from_json does not read it back, so a parsed
+    formula has None.  It takes no part in equality or in any verdict.
     """
 
     arity: int
@@ -527,60 +530,6 @@ def _json_index(value) -> int:
     return value
 
 
-def _json_list(value) -> list:
-    if type(value) is not list:
-        raise TypeError(f"{value!r} is not a list")
-    return value
-
-
-def _json_indices(value, length: Optional[int] = None) -> tuple[int, ...]:
-    """A JSON list of integers, of the given length when one is given."""
-    indices = tuple(_json_index(x) for x in _json_list(value))
-    if length is not None and len(indices) != length:
-        raise ValueError(f"{value!r} is not a list of {length} integers")
-    return indices
-
-
-def _node_from_json(data) -> SynthNode:
-    """A structure node: its kind decides which fields are read, and every
-    field is checked like the formula's own (see formula_from_json)."""
-    kind = data["kind"]
-    coeffs = tuple(_json_rational(c) for c in _json_list(data["coeffs"]))
-    if kind == "identity":
-        return SynthNode(kind=kind, coeffs=coeffs, variable=_json_index(data["variable"]))
-    if kind == "chain":
-        span = _json_indices(data["span"], 2)
-        position_vars = _json_indices(data["position_vars"])
-        if span[0] > span[1] or len(position_vars) != span[1] - span[0] + 1:
-            raise ValueError(
-                f"chain span {list(span)} does not hold its {len(position_vars)} position variables"
-            )
-        return SynthNode(
-            kind=kind,
-            coeffs=coeffs,
-            scaled=_json_indices(data["scaled"], 2),
-            span=span,
-            position_vars=position_vars,
-        )
-    if kind == "split":
-        return SynthNode(
-            kind=kind,
-            coeffs=coeffs,
-            children=tuple(_node_from_json(c) for c in _json_list(data["children"])),
-        )
-    raise ValueError(f"structure kind {kind!r} is not identity, chain or split")
-
-
-def _structure_variables(node: SynthNode) -> Iterator[int]:
-    """Every variable index a structure names: identity variables and chain
-    position variables."""
-    if node.kind == "identity":
-        yield node.variable
-    yield from node.position_vars
-    for child in node.children:
-        yield from _structure_variables(child)
-
-
 def formula_to_json(phi: ChainFormula) -> str:
     data = {
         "arity": phi.arity,
@@ -600,21 +549,16 @@ def formula_from_json(text: str) -> ChainFormula:
     """Parse formula JSON, checking its size and every variable and input index.
 
     arity, variables and every index are JSON integers; a relation parameter
-    is a rational string or a JSON number, read exactly from its text.  An
-    optional structure is a tree of identity, chain and split nodes whose
-    coefficients are read like relation parameters and whose variables,
-    scaled pair, span pair and position variables are JSON integers; a
-    chain's span (lo, hi) has lo <= hi and one position variable per
-    position.  arity must be at least 1, neither variables nor the relation
-    count may exceed MAX_FORMULA_VARIABLES, every variable index (bindings,
-    relations, output, structure) must lie in [0, variables) and every input
-    index in [0, arity).
+    is a rational string or a JSON number, read exactly from its text.
+    arity must be at least 1, neither variables nor the relation count may
+    exceed MAX_FORMULA_VARIABLES, every variable index (bindings, relations,
+    output) must lie in [0, variables) and every input index in [0, arity).
+    The structure that formula_to_json writes is not read, since no verdict
+    depends on it: like any other unknown key it is ignored, and the parsed
+    formula's structure is None.
     """
     try:
         data = json.loads(text, parse_float=str)
-        structure = (
-            _node_from_json(data["structure"]) if "structure" in data else None
-        )
         phi = ChainFormula(
             arity=_json_index(data["arity"]),
             num_vars=_json_index(data["variables"]),
@@ -626,7 +570,6 @@ def formula_from_json(text: str) -> ChainFormula:
                 Relation(_json_index(a), _json_index(b), _json_rational(q), _json_index(r))
                 for a, b, q, r in data["relations"]
             ),
-            structure=structure,
         )
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormulaError(f"invalid formula JSON: {exc}") from exc
@@ -639,8 +582,6 @@ def formula_from_json(text: str) -> ChainFormula:
             )
     variables = [phi.output_var] + [var for var, _ in phi.input_bindings]
     variables += [x for r in phi.relations for x in (r.left, r.right, r.result)]
-    if phi.structure is not None:
-        variables += _structure_variables(phi.structure)
     for kind, indices, limit in (
         ("variable", variables, phi.num_vars),
         ("input", [j for _, j in phi.input_bindings], phi.arity),

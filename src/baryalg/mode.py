@@ -148,6 +148,21 @@ def _scaled_op(u: Sequence[int], v: Sequence[int], a: int, e: int) -> tuple[int,
     return tuple([b * s + a * t for s, t in zip(u, v)])
 
 
+#: The free sample: the affine basis 0, e_1, e_2, e_3 of Q^3, one point per
+#: variable of the entropic law, checked at the parameters 0 and 1.  One
+#: check_laws call on them proves the laws for all points and parameters:
+#: - at affinely independent points, two affine combinations are equal only
+#:   when their coefficients (term_coefficients) are equal, so a law holds on
+#:   this sample exactly when it holds as an identity of coefficients;
+#: - every coefficient of either side of each law has degree at most 1 in p
+#:   and in q, like (1-p)(1-q) for x in the entropic law, so agreement on
+#:   {0, 1}^2 is agreement for all p and q;
+#: - for p != 0, x y p = x z p implies y = z, because y's coefficient in
+#:   x y p is p.
+FREE_SAMPLE = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+CORNER_PARAMETERS = (0, 1)
+
+
 def check_laws(sample: Sequence[Sequence], parameters: Sequence) -> LawReport:
     """Verify the groupoid laws exactly on all combinations of the sample.
 

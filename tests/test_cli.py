@@ -7,8 +7,8 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from baryalg import affine, cli
-from baryalg.cli import COMMANDS, main
+from baryalg import affine, mode
+from baryalg.cli import COMMANDS, main, run
 
 DYADIC_RING = '{"inverted_primes":[2]}'
 RING3 = '{"inverted_primes":[3]}'
@@ -140,6 +140,19 @@ def test_verify_formula_roundtrip(capsys, tmp_path):
     assert code == 0 and verdict["result"]["valid"] is False
 
 
+def test_verify_formula_reads_a_full_report(capsys, tmp_path, monkeypatch):
+    # the README's example: synth-formula --out phi.json, then verify-formula
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth-formula", "--ring", RING3, "--coeffs=-1/2,3/2", "--out", "phi.json"]) == 0
+    report = (tmp_path / "phi.json").read_text()
+    for formula in ("phi.json", report, json.dumps(json.loads(report)["result"])):
+        for coeffs, valid in (("-1/2,3/2", True), ("-1/3,4/3", False)):
+            code, verdict = run_cli(
+                capsys, "verify-formula", "--formula", formula, f"--coeffs={coeffs}"
+            )
+            assert code == 0 and verdict["result"]["valid"] is valid
+
+
 def test_formula_json_numbers_are_read_exactly(capsys):
     # 0.5 is 1/2, and a decimal no float holds is not rounded to it
     for param, valid in (("0.5", True), ("0.50000000000000000001", False)):
@@ -162,30 +175,38 @@ def test_eval_term_command(capsys):
 
 
 def test_laws_check_command(capsys):
-    code, report = run_cli(capsys, "laws-check", "--samples", "10", "--seed", "4")
-    assert code == 0
-    assert report["result"]["ok"] is True
-    assert report["result"]["violations"] == []
-
-
-def test_laws_check_work_is_bounded(capsys, monkeypatch):
-    assert cli.MAX_LAWS_CHECK_WORK == 1000  # the README's --samples 500 at dim 2
-    for extra in (["--samples", "501"], ["--samples", "1", "--dim", "1001"]):
-        code, report = run_cli(capsys, "laws-check", "--seed", "4", *extra)
-        assert code == 3
-        assert report["error"]["code"] == "bad-input"
-    monkeypatch.setattr(cli, "MAX_LAWS_CHECK_WORK", 4)
-    code, report = run_cli(capsys, "laws-check", "--samples", "2", "--seed", "4")
-    assert code == 0 and report["result"]["samples"] == 2
-    code, report = run_cli(capsys, "laws-check", "--samples", "2", "--seed", "4", "--dim", "3")
-    assert code == 3
-    assert report["error"]["code"] == "bad-input"
-
-
-def test_laws_check_requires_seed(capsys):
+    # one check of the free sample: apart from the echoed flags, the report
+    # is the same whatever the unused --samples and --seed
+    reports = [
+        run_cli(capsys, "laws-check", *extra)
+        for extra in (["--samples", "1", "--seed", "4"], ["--samples", "500", "--seed", "7"], [])
+    ]
+    assert [code for code, _ in reports] == [0, 0, 0]
+    assert [r.pop("parameters") for _, r in reports] == [
+        {"samples": 1, "seed": 4}, {"samples": 500, "seed": 7}, {}
+    ]
+    texts = {json.dumps(r) for _, r in reports}
+    assert len(texts) == 1
+    result = reports[0][1]["result"]
+    assert result["sample"] == [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    assert result["parameters"] == ["0", "1"]
+    assert result["ok"] is True and result["violations"] == []
+    assert result["checked"] == mode.check_laws(mode.FREE_SAMPLE, [0, 1]).checked
+    code, report = run_cli(capsys, "laws-check", "--samples=-1")
+    assert code == 3 and report["error"]["code"] == "bad-input"
     with pytest.raises(SystemExit) as exc:
-        main(["laws-check", "--samples", "10"])
+        main(["laws-check", "--dim", "2"])
     assert exc.value.code == 2
+
+
+def test_laws_check_refutes_a_wrong_operation(capsys, monkeypatch):
+    # x y p = x is idempotent and entropic, but neither twisted commutative
+    # nor cancellative
+    monkeypatch.setattr(mode, "_scaled_op", lambda u, v, a, e: tuple(e * s for s in u))
+    code, report = run_cli(capsys, "laws-check")
+    assert code == 0 and report["result"]["ok"] is False
+    laws = {v["law"] for v in report["result"]["violations"]}
+    assert laws == {"commutativity", "cancellativity"}
 
 
 def test_closure_command(capsys):
@@ -339,7 +360,6 @@ def test_error_codes(capsys, tmp_path):
         ["closure", "--set", "0,3", "--ring", DYADIC_RING, "--depth", "1",
          "--rounds", "1", "--line-bound", "0"],
         ["laws-check", "--samples=-1", "--seed", "4"],
-        ["laws-check", "--samples", "1", "--seed", "4", "--dim", "0"],
         ["probe-convexity", "--set", "0,3", "--ring", DYADIC_RING,
          "--samples=-1", "--seed", "1"],
         ["iso-check", "--left", '[["0"],["1"]]', "--right", '[["0"],["3"]]',
@@ -362,17 +382,6 @@ def test_error_codes(capsys, tmp_path):
         {"arity": True},
         {"output": "2"},
         {"relations": [[0, 1, "1/2", 2.0]]},
-        # so is the optional structure, whose kind is identity, chain or split
-        {"structure": {"kind": "bogus", "coeffs": [], "children": []}},
-        {"structure": {"kind": "identity", "coeffs": ["1"], "variable": 2.5}},
-        {"structure": {"kind": "chain", "coeffs": ["1/2", "1/2"], "scaled": [1, 2],
-                       "span": [True], "position_vars": [0, 2, 1]}},
-        # and its variables and spans fit the formula
-        {"structure": {"kind": "identity", "coeffs": ["1"], "variable": 99}},
-        {"structure": {"kind": "chain", "coeffs": ["1/2", "1/2"], "scaled": [1, 2],
-                       "span": [5, -5], "position_vars": [-7]}},
-        {"structure": {"kind": "chain", "coeffs": ["1/2", "1/2"], "scaled": [1, 2],
-                       "span": [0, 2], "position_vars": [0, 2, -7]}},
     ]
     for change in out_of_range_formulas:
         text = json.dumps({**MIDPOINT, **change})
@@ -569,6 +578,7 @@ FUZZ_VALID = {
         json.dumps({**MIDPOINT, "relations": [[0, 1, 0.5, 2]]}),
         json.dumps({"formula": {**MIDPOINT, "relations": [[0, 1, 0.5, 2]]}}),
         json.dumps({**MIDPOINT, "structure": {"kind": "identity", "coeffs": [0.5], "variable": 0}}),
+        run("synth-formula", {"ring": RING3, "coeffs": "-1/2,3/2"}).to_json(),  # a full report
     ],
     "--term": ["(op x0 x1 1/2)", "(op (op x0 x1 1/3) x2 -2)"],
     "--points": ["0,1,2", "0,0;1,0;0,1"],

@@ -263,7 +263,6 @@ def test_formula_json_roundtrip():
     assert back.relations == phi.relations
     assert back.input_bindings == phi.input_bindings
     assert back.output_var == phi.output_var
-    assert back.structure == phi.structure
     assert verify_phi(back, [F(-1, 2), F(3, 4), F(3, 4)])
     with pytest.raises(FormulaError):
         formula_from_json("{}")
@@ -297,17 +296,16 @@ def test_formula_json_numbers_are_read_exactly():
         "output": 2,
         "relations": [[0, 1, "x", 2]],
     }
-    # a numeric parameter or structure coefficient is read from its JSON text
+    # a numeric parameter is read from its JSON text
     for text, param in [("0.5", F(1, 2)), ("0.50000000000000000001", F(1, 2) + F(1, 10**20)),
                         ("1e-400", F(1, 10**400))]:
         phi = formula_from_json(json.dumps(midpoint).replace('"x"', text))
         assert phi.relations == (Relation(0, 1, param, 2),)
-    structure = {"kind": "identity", "coeffs": [0.25, "3/4"], "variable": 0}
-    parsed = formula_from_json(json.dumps({**midpoint, "structure": structure}).replace('"x"', "0.5"))
-    assert parsed.structure.coeffs == (F(1, 4), F(3, 4))
 
 
-def test_formula_json_structure_is_checked():
+def test_formula_json_structure_is_ignored():
+    # no verdict reads a structure, so formula_from_json skips it like any
+    # unknown key: each of these, well-formed or not, parses as its absence
     midpoint = {
         "arity": 2,
         "variables": 3,
@@ -318,8 +316,12 @@ def test_formula_json_structure_is_checked():
     chain = {"kind": "chain", "coeffs": ["1/2", "1/2"], "scaled": [1, 2], "span": [0, 2],
              "position_vars": [0, 2, 1]}
     identity = {"kind": "identity", "coeffs": ["1"], "variable": 0}
-    assert formula_from_json(json.dumps({**midpoint, "structure": chain})).structure.span == (0, 2)
-    malformed = [
+    structures = [
+        chain,
+        identity,
+        {"kind": "split", "coeffs": ["1"], "children": [identity]},
+        {"kind": "identity", "coeffs": [0.25, "3/4"], "variable": 0},
+        # fields of the wrong kind or type
         {"kind": "bogus", "coeffs": [], "children": []},
         {**identity, "variable": 2.5},
         {**chain, "span": [True]},
@@ -334,27 +336,7 @@ def test_formula_json_structure_is_checked():
         {"kind": "split", "coeffs": ["1"]},
         {"coeffs": ["1"], "variable": 0},
         [identity],
-    ]
-    for structure in malformed:
-        with pytest.raises(FormulaError):
-            formula_from_json(json.dumps({**midpoint, "structure": structure}))
-    # synthesized structures of every kind round-trip byte-identically
-    for xi, ring in [([F(1)], DYADIC), ([F(-1, 2), F(3, 2)], RING3),
-                     ([F(20, 11), F(13, 11), F(-19, 11), F(-19, 11), F(16, 11)], RING3)]:
-        text = formula_to_json(synth_phi(xi, ring))
-        assert formula_to_json(formula_from_json(text)) == text
-
-
-def test_formula_json_structure_values_are_checked():
-    # a structure names variables of the formula it describes, and a chain
-    # holds one position variable per position of its span
-    three = {"arity": 1, "variables": 3, "inputs": [[0, 0]], "output": 0, "relations": []}
-    chain = {"kind": "chain", "coeffs": ["1/2", "1/2"], "scaled": [1, 2], "span": [0, 2],
-             "position_vars": [0, 2, 1]}
-    identity = {"kind": "identity", "coeffs": ["1"], "variable": 2}
-    for structure in [chain, identity, {"kind": "split", "coeffs": ["1"], "children": [identity]}]:
-        formula_from_json(json.dumps({**three, "structure": structure}))
-    malformed = [
+        # variables and spans that do not fit the formula
         {**identity, "variable": 99},
         {**identity, "variable": 3},
         {**identity, "variable": -1},
@@ -368,9 +350,20 @@ def test_formula_json_structure_values_are_checked():
         {**chain, "span": [0, 0], "position_vars": []},
         {**chain, "span": [1, 0], "position_vars": []},
     ]
-    for structure in malformed:
-        with pytest.raises(FormulaError):
-            formula_from_json(json.dumps({**three, "structure": structure}))
+    bare = formula_from_json(json.dumps(midpoint))
+    half, third = [F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]
+    assert verify_phi(bare, half) and not verify_phi(bare, third)
+    for structure in structures:
+        parsed = formula_from_json(json.dumps({**midpoint, "structure": structure}))
+        assert parsed == bare and parsed.structure is None
+        assert verify_phi(parsed, half) and not verify_phi(parsed, third)
+    # synthesized structures of every kind are written, and dropped on reading
+    for xi, ring in [([F(1)], DYADIC), ([F(-1, 2), F(3, 2)], RING3),
+                     ([F(20, 11), F(13, 11), F(-19, 11), F(-19, 11), F(16, 11)], RING3)]:
+        text = formula_to_json(synth_phi(xi, ring))
+        data = json.loads(text)
+        del data["structure"]
+        assert formula_to_json(formula_from_json(text)) == json.dumps(data)
 
 
 def test_format_formula_text():

@@ -113,6 +113,18 @@ def test_check_laws_entropic_instance():
     assert lhs == rhs == (F(7, 6),)
 
 
+def test_free_sample_holds_beyond_the_corner_parameters():
+    # the corners {0, 1}^2 stand for every parameter pair, since each law's
+    # coefficients have degree at most 1 in p and in q
+    assert check_laws(mode.FREE_SAMPLE, mode.CORNER_PARAMETERS).ok
+    rng = random.Random(27)
+    pairs = [[F(rng.randint(-24, 36), rng.randint(1, 12)) for _ in "pq"] for _ in range(20)]
+    values = [v for pair in pairs for v in pair]
+    assert min(values) < 0 and max(values) > 1
+    for pair in pairs:
+        assert check_laws(mode.FREE_SAMPLE, pair).violations == [], pair
+
+
 def test_check_laws_zero_parameter_skips_cancellation():
     report = check_laws([(0,), (1,)], [F(0)])
     assert report.ok
