@@ -175,28 +175,57 @@ def test_eval_term_command(capsys):
 
 
 def test_laws_check_command(capsys):
-    # one check of the free sample: apart from the echoed flags, the report
-    # is the same whatever the unused --samples and --seed
-    reports = [
-        run_cli(capsys, "laws-check", *extra)
-        for extra in (["--samples", "1", "--seed", "4"], ["--samples", "500", "--seed", "7"], [])
-    ]
-    assert [code for code, _ in reports] == [0, 0, 0]
-    assert [r.pop("parameters") for _, r in reports] == [
-        {"samples": 1, "seed": 4}, {"samples": 500, "seed": 7}, {}
-    ]
-    texts = {json.dumps(r) for _, r in reports}
-    assert len(texts) == 1
-    result = reports[0][1]["result"]
+    # one check of the free sample proves the laws for all points and
+    # parameters (see mode.FREE_SAMPLE)
+    code, report = run_cli(capsys, "laws-check")
+    assert code == 0 and report["parameters"] == {}
+    result = report["result"]
     assert result["sample"] == [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     assert result["parameters"] == ["0", "1"]
     assert result["ok"] is True and result["violations"] == []
     assert result["checked"] == mode.check_laws(mode.FREE_SAMPLE, [0, 1]).checked
+
+
+def test_laws_check_requires_seed(capsys):
+    # laws-check once sampled and so required --seed; it now draws nothing,
+    # so no seed is needed and, apart from the echoed flags, every seed and
+    # none give the same report
+    reports = [
+        run_cli(capsys, "laws-check", *extra)
+        for extra in (["--seed", "4"], ["--seed", "7"], [])
+    ]
+    assert [code for code, _ in reports] == [0, 0, 0]
+    assert [r.pop("parameters") for _, r in reports] == [{"seed": 4}, {"seed": 7}, {}]
+    assert len({json.dumps(r) for _, r in reports}) == 1
+    assert reports[0][1]["result"]["ok"] is True
+    # an unused --seed is still read as an integer
+    with pytest.raises(SystemExit) as exc:
+        main(["laws-check", "--seed", "x"])
+    assert exc.value.code == 2
+
+
+def test_laws_check_work_is_bounded(capsys):
+    # the work is the one fixed check, whatever --samples asks for; --dim,
+    # which sized the sampled points, is gone
+    reports = [
+        run_cli(capsys, "laws-check", *extra)
+        for extra in (["--samples", "1", "--seed", "4"], ["--samples", "500", "--seed", "7"],
+                      ["--samples", str(10**9), "--seed", "1"], [])
+    ]
+    assert [code for code, _ in reports] == [0, 0, 0, 0]
+    assert [r.pop("parameters") for _, r in reports] == [
+        {"samples": 1, "seed": 4}, {"samples": 500, "seed": 7},
+        {"samples": 10**9, "seed": 1}, {},
+    ]
+    assert len({json.dumps(r) for _, r in reports}) == 1
+    assert reports[0][1]["result"]["checked"] == mode.check_laws(
+        mode.FREE_SAMPLE, mode.CORNER_PARAMETERS).checked
     code, report = run_cli(capsys, "laws-check", "--samples=-1")
     assert code == 3 and report["error"]["code"] == "bad-input"
-    with pytest.raises(SystemExit) as exc:
-        main(["laws-check", "--dim", "2"])
-    assert exc.value.code == 2
+    for dim in ("2", "1001"):
+        with pytest.raises(SystemExit) as exc:
+            main(["laws-check", "--dim", dim])
+        assert exc.value.code == 2
 
 
 def test_laws_check_refutes_a_wrong_operation(capsys, monkeypatch):

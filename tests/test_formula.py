@@ -303,20 +303,36 @@ def test_formula_json_numbers_are_read_exactly():
         assert phi.relations == (Relation(0, 1, param, 2),)
 
 
-def test_formula_json_structure_is_ignored():
+_STRUCTURE_MIDPOINT = {
+    "arity": 2,
+    "variables": 3,
+    "inputs": [[0, 0], [1, 1]],
+    "output": 2,
+    "relations": [[0, 1, "1/2", 2]],
+}
+_STRUCTURE_CHAIN = {"kind": "chain", "coeffs": ["1/2", "1/2"], "scaled": [1, 2], "span": [0, 2],
+                    "position_vars": [0, 2, 1]}
+_STRUCTURE_IDENTITY = {"kind": "identity", "coeffs": ["1"], "variable": 0}
+
+
+def _assert_structures_are_ignored(structures):
     # no verdict reads a structure, so formula_from_json skips it like any
-    # unknown key: each of these, well-formed or not, parses as its absence
-    midpoint = {
-        "arity": 2,
-        "variables": 3,
-        "inputs": [[0, 0], [1, 1]],
-        "output": 2,
-        "relations": [[0, 1, "1/2", 2]],
-    }
-    chain = {"kind": "chain", "coeffs": ["1/2", "1/2"], "scaled": [1, 2], "span": [0, 2],
-             "position_vars": [0, 2, 1]}
-    identity = {"kind": "identity", "coeffs": ["1"], "variable": 0}
-    structures = [
+    # unknown key: each structure, well-formed or not, parses as its absence
+    # and leaves verify_phi's verdicts as they are
+    bare = formula_from_json(json.dumps(_STRUCTURE_MIDPOINT))
+    half, third = [F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]
+    assert verify_phi(bare, half) and not verify_phi(bare, third)
+    for structure in structures:
+        parsed = formula_from_json(json.dumps({**_STRUCTURE_MIDPOINT, "structure": structure}))
+        assert parsed == bare and parsed.structure is None
+        assert verify_phi(parsed, half) and not verify_phi(parsed, third)
+
+
+def test_formula_json_structure_is_checked():
+    # a structure's kind and field types are no longer checked on reading:
+    # those once refused parse like the well-formed ones
+    chain, identity = _STRUCTURE_CHAIN, _STRUCTURE_IDENTITY
+    _assert_structures_are_ignored([
         chain,
         identity,
         {"kind": "split", "coeffs": ["1"], "children": [identity]},
@@ -336,7 +352,21 @@ def test_formula_json_structure_is_ignored():
         {"kind": "split", "coeffs": ["1"]},
         {"coeffs": ["1"], "variable": 0},
         [identity],
-        # variables and spans that do not fit the formula
+    ])
+    # synthesized structures of every kind are written, and dropped on reading
+    for xi, ring in [([F(1)], DYADIC), ([F(-1, 2), F(3, 2)], RING3),
+                     ([F(20, 11), F(13, 11), F(-19, 11), F(-19, 11), F(16, 11)], RING3)]:
+        text = formula_to_json(synth_phi(xi, ring))
+        data = json.loads(text)
+        del data["structure"]
+        assert formula_to_json(formula_from_json(text)) == json.dumps(data)
+
+
+def test_formula_json_structure_values_are_checked():
+    # a structure's variables and spans are no longer checked against the
+    # formula: those that do not fit it parse as its absence
+    chain, identity = _STRUCTURE_CHAIN, _STRUCTURE_IDENTITY
+    _assert_structures_are_ignored([
         {**identity, "variable": 99},
         {**identity, "variable": 3},
         {**identity, "variable": -1},
@@ -349,21 +379,7 @@ def test_formula_json_structure_is_ignored():
         {**chain, "span": [0, 1]},
         {**chain, "span": [0, 0], "position_vars": []},
         {**chain, "span": [1, 0], "position_vars": []},
-    ]
-    bare = formula_from_json(json.dumps(midpoint))
-    half, third = [F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]
-    assert verify_phi(bare, half) and not verify_phi(bare, third)
-    for structure in structures:
-        parsed = formula_from_json(json.dumps({**midpoint, "structure": structure}))
-        assert parsed == bare and parsed.structure is None
-        assert verify_phi(parsed, half) and not verify_phi(parsed, third)
-    # synthesized structures of every kind are written, and dropped on reading
-    for xi, ring in [([F(1)], DYADIC), ([F(-1, 2), F(3, 2)], RING3),
-                     ([F(20, 11), F(13, 11), F(-19, 11), F(-19, 11), F(16, 11)], RING3)]:
-        text = formula_to_json(synth_phi(xi, ring))
-        data = json.loads(text)
-        del data["structure"]
-        assert formula_to_json(formula_from_json(text)) == json.dumps(data)
+    ])
 
 
 def test_format_formula_text():
