@@ -9,22 +9,29 @@ bijects the vertex sets.  The search is pruned by an exact invariant (after
 Bremner, Dutour Sikirić, Pasechnik, Rehn and Schürmann, "Computing symmetry
 groups of polyhedra", 2014): the projection G onto the row space of the
 centred vertex matrix (VPolytope.gram), which every invertible affine map
-preserves up to the vertex bijection it induces.  The same witness,
-restricted to the polytope, is an isomorphism of the associated
-barycentric algebras for any coefficient ring: an affine map commutes with
-every barycentric operation by construction (see iso_decide).
+preserves up to the vertex bijection it induces.  The search runs in ints
+from G to the accepted tuple: G is compared as int numerators over one
+denominator in lowest terms, and a tuple is tested on the left vertices'
+coordinates over the anchor, solved once per decision, so the basis
+extension and the witness map are built once, for the accepted tuple.
+The same witness, restricted to the polytope, is an isomorphism of the
+associated barycentric algebras for any coefficient ring: an affine map
+commutes with every barycentric operation by construction (see
+iso_decide).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
 from .hull import VPolytope
 from .mode import Point, as_point, bary_op
-from .scalar import RingSpec
+from .scalar import RingSpec, integer_row
 
 
 class AffineError(ValueError):
@@ -188,17 +195,52 @@ def _anchor_images(anchor_idx, lg, rg, l_rows, r_rows, chosen: list[int]):
             yield from _anchor_images(anchor_idx, lg, rg, l_rows, r_rows, chosen + [j])
 
 
+def _scaled(points: list[Point]) -> list[tuple[int, ...]]:
+    """The points times one common denominator, as int tuples."""
+    n = len(points[0])
+    _, flat = integer_row([x for p in points for x in p])
+    return [flat[i * n : (i + 1) * n] for i in range(len(points))]
+
+
+def _anchor_coordinates(vertices: list[Point]) -> tuple[list[int], list[tuple[int, ...]], int]:
+    """(anchor, C, den): max_independent_subset(vertices), and the anchor
+    coordinates c of every other vertex v, v = a_0 + sum_k c_k (a_k - a_0),
+    as the int rows of C over den, in vertex order.
+
+    One Gauss-Jordan elimination of the int differences v_j - v_0 gives
+    both: its pivot columns are the ones max_independent_subset reads, and
+    the non-pivot column of v holds v's coordinates over the pivot columns,
+    row k over its pivot entry.
+    """
+    rows = _difference_columns(_scaled(vertices))
+    pivots = linalg._gauss_jordan(rows)
+    den = math.lcm(*(row[col] for row, col in zip(rows, pivots)))
+    coordinates = [
+        tuple([row[j] * (den // row[col]) for row, col in zip(rows, pivots)])
+        for j in range(len(vertices) - 1)
+        if j not in pivots
+    ]
+    return [0] + [j + 1 for j in pivots], coordinates, den
+
+
 def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
     """Decide whether an invertible affine map carries left onto right.
 
-    Equal affine dimension, equal vertex counts and equal multisets of
-    sorted rows of the invariant G (`VPolytope.gram`) are necessary.  A
-    witness is then searched by anchoring one independent vertex tuple on
-    the left and enumerating ordered independent tuples on the right, in
-    lexicographic order so the first witness is reproducible.  Only tuples
-    whose sorted G rows and mutual G entries match the anchor's are built;
-    the others cannot be the image of the anchor under any affine map, so
-    the first witness is the one an exhaustive enumeration finds.
+    Equal affine dimension, equal vertex counts and equal invariants G
+    (`VPolytope.gram`) up to a vertex bijection are necessary.  G is
+    compared in ints: in lowest common terms its dens must be equal and the
+    multisets of its sorted int rows too.  A witness is then searched by
+    anchoring one independent vertex tuple on the left and enumerating
+    ordered tuples on the right, in lexicographic order so the first
+    witness is reproducible.  Only tuples whose sorted G rows and mutual G
+    entries match the anchor's are tried; the others cannot be the image of
+    the anchor under any affine map, so the first witness is the one an
+    exhaustive enumeration finds.  A tuple is tried in ints on the anchor
+    coordinates of the left vertices (solved once per decision): it passes
+    when the same combinations of its vertices give the right vertex set.
+    Every left vertex lies in the anchor's affine hull, so extending the
+    anchor to a basis of the space cannot change these images: the basis
+    extension and the witness map are built once, for the tuple accepted.
     """
     if left.dimension != right.dimension:
         raise AffineError("polytopes live in different ambient dimensions")
@@ -208,22 +250,29 @@ def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
     lv, rv = list(left.vertices), list(right.vertices)
     if len(lv) != len(rv):
         return EquivalenceVerdict(False, None, "vertex-count-mismatch")
-    lg, rg = left.gram, right.gram
+    (lg, l_den), (rg, r_den) = left._gram, right._gram
     l_rows = [sorted(row) for row in lg]
     r_rows = [sorted(row) for row in rg]
-    if sorted(l_rows) != sorted(r_rows):
+    if l_den != r_den or sorted(l_rows) != sorted(r_rows):
         return EquivalenceVerdict(False, None, "exhausted-correspondences")
-    anchor_idx = max_independent_subset(lv)
-    anchor = [lv[i] for i in anchor_idx]
-    src_basis = extend_to_basis(anchor, n)
+    anchor_idx, coordinates, den = _anchor_coordinates(lv)
+    scaled = _scaled(rv)
+    target = {tuple([den * x for x in v]) for v in scaled}
 
     for perm in _anchor_images(anchor_idx, lg, rg, l_rows, r_rows, []):
-        # candidate has the anchor's G block, so it is independent like the anchor
-        candidate = [rv[i] for i in perm]
-        dst_basis = extend_to_basis(candidate, n)
-        witness = map_from_correspondence(src_basis, dst_basis)
-        image = {witness.apply(vert) for vert in lv}
-        if image == set(rv):
+        # The candidate has the anchor's G block, so it is independent like
+        # the anchor, and the images below are distinct: all of them in
+        # target makes a bijection of the vertex sets.
+        b0, *others = [scaled[i] for i in perm]
+        # coordinate r of an image is den b0_r + sum_k c_k (b_k - b0)_r
+        rows = [(den * x, [b[r] - x for b in others]) for r, x in enumerate(b0)]
+        images = (tuple([x + sum(map(mul, cs, d)) for x, d in rows]) for cs in coordinates)
+        if all(image in target for image in images):
+            anchor = [lv[i] for i in anchor_idx]
+            candidate = [rv[i] for i in perm]
+            witness = map_from_correspondence(
+                extend_to_basis(anchor, n), extend_to_basis(candidate, n)
+            )
             return EquivalenceVerdict(True, witness, "witness-found")
     return EquivalenceVerdict(False, None, "exhausted-correspondences")
 

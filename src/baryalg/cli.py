@@ -289,7 +289,13 @@ def _cmd_laws_check(opts) -> dict:
         "parameters": [format_rational(p) for p in mode.CORNER_PARAMETERS],
         "checked": report.checked,
         "violations": [
-            {"law": law, "witness": [str(w) for w in witness]}
+            {
+                "law": law,
+                "witness": [
+                    _fmt_point(w) if isinstance(w, tuple) else format_rational(w)
+                    for w in witness
+                ],
+            }
             for law, witness in report.violations
         ],
         "cancellation_not_applicable": report.cancellation_not_applicable,

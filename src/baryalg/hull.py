@@ -402,18 +402,28 @@ class VPolytope:
         _, (_, _, rank) = self._distinct
         return rank
 
-    @property
-    def gram(self) -> list[list[Fraction]]:
-        """The projection G of the vertices, in vertex order (see _projection).
-
-        When every distinct generator is a vertex, this is the G the vertex
-        tests read; otherwise the vertices are eliminated once more.
-        """
+    @cached_property
+    def _gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(N, den): the vertices' G = N / den in lowest common terms, so two
+        G are equal exactly when their dens are equal and their N are."""
         unique, projection = self._distinct
         vertices = self._extreme
         if len(vertices) < len(unique):
             projection = _projection(vertices)
         numerators, den, _ = projection
+        g = math.gcd(den, *itertools.chain.from_iterable(numerators))
+        return tuple(tuple(x // g for x in row) for row in numerators), den // g
+
+    @property
+    def gram(self) -> list[list[Fraction]]:
+        """The projection G of the vertices, in vertex order (see _projection).
+
+        When every distinct generator is a vertex, this is the G the vertex
+        tests read; otherwise the vertices are eliminated once more.  It is
+        cached as int numerators over one denominator in lowest common
+        terms, the form the affine equivalence search compares.
+        """
+        numerators, den = self._gram
         return [[Fraction(x, den) for x in row] for row in numerators]
 
 

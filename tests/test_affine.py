@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -211,6 +212,7 @@ def test_map_from_correspondence_random_roundtrip():
 UNIT_SQUARE = _pts((0, 0), (1, 0), (1, 1), (0, 1))
 PARALLELOGRAM = _pts((0, 0), (2, 0), (3, 1), (1, 1))
 TRIANGLE = _pts((0, 0), (1, 0), (0, 1))
+TRAPEZOID = _pts((0, 0), (3, 0), (2, 1), (1, 1))
 
 
 def test_affine_equivalence_square_parallelogram():
@@ -261,8 +263,7 @@ def test_affine_equivalence_degenerate_polytopes():
 
 def test_affine_equivalence_negative_same_counts():
     # square vs non-parallelogram quadrilateral: same counts, not equivalent
-    trapezoid = _pts((0, 0), (3, 0), (2, 1), (1, 1))
-    verdict = affine_equivalence(VPolytope(UNIT_SQUARE), VPolytope(trapezoid))
+    verdict = affine_equivalence(VPolytope(UNIT_SQUARE), VPolytope(TRAPEZOID))
     assert not verdict.equivalent
     assert verdict.reason == "exhausted-correspondences"
 
@@ -332,6 +333,39 @@ def _random_generators(rng, n):
     return gens
 
 
+def _random_rational_map(rng, n):
+    """An invertible map with entries over small denominators, so its
+    determinant is rarely +-1."""
+    while True:
+        m = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        try:
+            return AffineMap(m, [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)])
+        except AffineError:
+            continue
+
+
+def _with_inside_point(rng, gens):
+    """gens and a combination of all of them with positive weights, which is
+    strictly inside their hull when they are not one point."""
+    weights = [rng.randint(1, 4) for _ in gens]
+    total = sum(weights)
+    return gens + [
+        tuple(sum((w * g[r] for w, g in zip(weights, gens)), F(0)) / total for r in range(len(gens[0])))
+    ]
+
+
+def _moved(rng, gens):
+    """gens with one generator moved: mostly the same counts, not equivalent."""
+    gens = list(gens)
+    k = rng.randrange(len(gens))
+    gens[k] = tuple(c + F(rng.choice((-1, 1)), rng.randint(1, 2)) for c in gens[k])
+    return gens
+
+
+CUBE_4 = [tuple(F(x) for x in p) for p in itertools.product((0, 1), repeat=4)]
+CROSS_3 = [tuple(F(s * (i == j)) for j in range(3)) for i in range(3) for s in (1, -1)]
+
+
 def test_affine_equivalence_matches_unpruned_search():
     rng = random.Random(53)
     pairs = [(pts, pts) for pts in (UNIT_SQUARE, HEXAGON, PARALLELOGRAM)]
@@ -346,36 +380,97 @@ def test_affine_equivalence_matches_unpruned_search():
         right = [psi.apply(p) for p in right]
         rng.shuffle(right)
         pairs.append((left, right))
+    # rational points under rational maps, some with a generator strictly
+    # inside the hull, which VPolytope.gram eliminates a second time
+    for case in range(120):
+        n = rng.randint(1, 3)
+        left = [
+            tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+            for _ in range(rng.randint(2, 5))
+        ]
+        if case % 3 == 0:
+            left = _with_inside_point(rng, left)
+        right = _moved(rng, left) if case % 2 else list(left)
+        psi = _random_rational_map(rng, n)
+        right = [psi.apply(p) for p in right]
+        rng.shuffle(right)
+        pairs.append((left, right))
+    # point polytopes, and segments, triangles and squares in planes of Q^3
+    for n in (1, 2, 3):
+        point = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))]
+        pairs.append((point, [_random_rational_map(rng, n).apply(point[0])]))
+    for flat in (_pts((0, 0, 0), (2, 0, 0)), TRIANGLE, UNIT_SQUARE, TRAPEZOID):
+        flat = [p + (F(0),) * (3 - len(p)) for p in flat]
+        left = [_random_rational_map(rng, 3).apply(p) for p in _with_inside_point(rng, flat)]
+        for right in (flat, _moved(rng, flat)):
+            psi = _random_rational_map(rng, 3)
+            pairs.append((left, [psi.apply(p) for p in right]))
+    # larger shapes against their images
+    for shape in (CUBE_4, CROSS_3, HEXAGON):
+        psi = _random_rational_map(rng, len(shape[0]))
+        pairs.append((shape, [psi.apply(p) for p in shape]))
+        pairs.append((shape, [psi.apply(p) for p in reversed(shape)]))
+
+    seen = set()
     for left, right in pairs:
-        verdict = affine_equivalence(VPolytope(left), VPolytope(right))
+        lp, rp = VPolytope(left), VPolytope(right)
+        verdict = affine_equivalence(lp, rp)
         equivalent, reason, witness = _reference_equivalence(VPolytope(left), VPolytope(right))
         assert (verdict.equivalent, verdict.reason) == (equivalent, reason)
         assert verdict.witness == witness
+        for p in (lp, rp):
+            seen.add("inside point" * (len(p.vertices) < len(set(p.generators))))
+            seen.add("point" * (p.affine_dimension == 0))
+            seen.add("flat in Q^3" * (p.dimension == 3 and 0 < p.affine_dimension < 3))
+        if equivalent:
+            # G in lowest terms is what makes these equal: unreduced, the two
+            # sides of some equivalent pair are over different denominators
+            _, l_den, _ = hull._projection(list(lp.vertices))
+            _, r_den, _ = hull._projection(list(rp.vertices))
+            seen.add("raw dens differ" * (l_den != r_den))
+            seen.add("det != +-1" * (abs(_determinant(witness.matrix)) != 1))
+    assert {"inside point", "point", "flat in Q^3", "raw dens differ", "det != +-1"} <= seen
+
+
+def _determinant(matrix):
+    """Leibniz's formula: the sum over permutations of signed products."""
+    n = len(matrix)
+    return sum(
+        (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        * math.prod(matrix[i][j] for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(n))
+    )
 
 
 def test_parabola_pairs_are_decided_without_solving(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the decision should need no solve_affine call")
 
-    built = []
-    original = affine_module.map_from_correspondence
+    calls = []
 
-    def counting(src, dst):
-        built.append(dst)
-        return original(src, dst)
+    def recording(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+
+        return wrapper
 
     monkeypatch.setattr(linalg, "solve_affine", no_solve)
-    monkeypatch.setattr(affine_module, "map_from_correspondence", counting)
+    for name in ("map_from_correspondence", "extend_to_basis"):
+        monkeypatch.setattr(affine_module, name, recording(name, getattr(affine_module, name)))
+    monkeypatch.setattr(AffineMap, "apply", recording("apply", AffineMap.apply))
     parabola = VPolytope([(F(t), F(t * t)) for t in range(16)])
     shifted = VPolytope([(F(t), F(t * t)) for t in [*range(15), 16]])
     image = VPolytope([(F(2 * t + 1), F(t * t - t)) for t in range(16)])
     verdict = affine_equivalence(parabola, shifted)
     assert verdict.reason == "exhausted-correspondences"
-    assert len(built) == 0
+    assert calls == []
     verdict = affine_equivalence(parabola, image)
     assert verdict.equivalent
+    # one basis per side and one map, for the accepted candidate only; the
+    # search itself applies no map
+    assert calls == ["extend_to_basis", "extend_to_basis", "map_from_correspondence"]
     assert {verdict.witness.apply(v) for v in parabola.vertices} == set(image.vertices)
-    assert len(built) == 1
 
 
 def _gram(points):
@@ -408,9 +503,8 @@ def test_gram_invariant():
             rng.shuffle(order)
             h = _gram([psi.apply(pts[k]) for k in order])
             assert all(h[i][j] == g[order[i]][order[j]] for i in range(m) for j in range(m))
-    trapezoid = _pts((0, 0), (3, 0), (2, 1), (1, 1))
     square_rows = sorted(sorted(row) for row in _gram(UNIT_SQUARE))
-    assert square_rows != sorted(sorted(row) for row in _gram(trapezoid))
+    assert square_rows != sorted(sorted(row) for row in _gram(TRAPEZOID))
 
 
 def _reference_gram(vertices):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -234,8 +235,17 @@ def test_laws_check_refutes_a_wrong_operation(capsys, monkeypatch):
     monkeypatch.setattr(mode, "_scaled_op", lambda u, v, a, e: tuple(e * s for s in u))
     code, report = run_cli(capsys, "laws-check")
     assert code == 0 and report["result"]["ok"] is False
-    laws = {v["law"] for v in report["result"]["violations"]}
-    assert laws == {"commutativity", "cancellativity"}
+    violations = report["result"]["violations"]
+    assert {v["law"] for v in violations} == {"commutativity", "cancellativity"}
+    # a witness entry is a point, a list of rational strings, or a
+    # parameter, one rational string
+    rational = re.compile(r"-?[0-9]+(/[0-9]+)?")
+    kinds = set()
+    for entry in (w for v in violations for w in v["witness"]):
+        coordinates = entry if isinstance(entry, list) else [entry]
+        assert all(isinstance(c, str) and rational.fullmatch(c) for c in coordinates)
+        kinds.add(type(entry))
+    assert kinds == {list, str}
 
 
 def test_closure_command(capsys):
