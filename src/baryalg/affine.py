@@ -10,10 +10,12 @@ Bremner, Dutour Sikirić, Pasechnik, Rehn and Schürmann, "Computing symmetry
 groups of polyhedra", 2014): the projection G onto the row space of the
 centred vertex matrix (VPolytope.gram), which every invertible affine map
 preserves up to the vertex bijection it induces.  The search runs in ints
-from G to the accepted tuple: G is compared as int numerators over one
+from G to the witness: G is compared as int numerators over one
 denominator in lowest terms, and a tuple is tested on the left vertices'
-coordinates over the anchor, solved once per decision, so the basis
-extension and the witness map are built once, for the accepted tuple.
+coordinates over the anchor.  One int elimination per decision gives those
+coordinates and the inverse of the anchor's basis, extended to the whole
+space, so the witness for the accepted tuple is summed in ints, one
+Fraction per entry.
 The same witness, restricted to the polytope, is an isomorphism of the
 associated barycentric algebras for any coefficient ring: an affine map
 commutes with every barycentric operation by construction (see
@@ -195,32 +197,84 @@ def _anchor_images(anchor_idx, lg, rg, l_rows, r_rows, chosen: list[int]):
             yield from _anchor_images(anchor_idx, lg, rg, l_rows, r_rows, chosen + [j])
 
 
-def _scaled(points: list[Point]) -> list[tuple[int, ...]]:
-    """The points times one common denominator, as int tuples."""
+def _scaled(points: list[Point]) -> tuple[int, list[tuple[int, ...]]]:
+    """(L, the points times L), L their least common denominator, as int tuples."""
     n = len(points[0])
-    _, flat = integer_row([x for p in points for x in p])
-    return [flat[i * n : (i + 1) * n] for i in range(len(points))]
+    scale, flat = integer_row([x for p in points for x in p])
+    return scale, [flat[i * n : (i + 1) * n] for i in range(len(points))]
 
 
-def _anchor_coordinates(vertices: list[Point]) -> tuple[list[int], list[tuple[int, ...]], int]:
-    """(anchor, C, den): max_independent_subset(vertices), and the anchor
-    coordinates c of every other vertex v, v = a_0 + sum_k c_k (a_k - a_0),
-    as the int rows of C over den, in vertex order.
+def _anchor_coordinates(
+    scaled: list[tuple[int, ...]],
+) -> tuple[list[int], list[tuple[int, ...]], int, list[list[int]], list[int]]:
+    """(anchor, C, den, rows, pivots) for the vertices, given times their
+    common denominator L.
 
-    One Gauss-Jordan elimination of the int differences v_j - v_0 gives
-    both: its pivot columns are the ones max_independent_subset reads, and
-    the non-pivot column of v holds v's coordinates over the pivot columns,
-    row k over its pivot entry.
+    anchor is max_independent_subset(vertices), and the int rows of C over
+    den are the anchor coordinates c of every other vertex v,
+    v = a_0 + sum_k c_k (a_k - a_0), in vertex order.  rows and pivots are
+    one Gauss-Jordan elimination of [L (v_j - v_0) | I_n], from which
+    _witness builds the map for an accepted candidate.
+
+    Its pivot columns among the differences are the ones
+    max_independent_subset reads, and the non-pivot column of v holds v's
+    coordinates over them, row k over its pivot entry p_k.  Every vertex
+    lies in the anchor's affine hull, so its pivot columns in the identity
+    block are the axes extend_to_basis(anchor, n) adds, and that block is
+    E = diag(p) P^-1, with P the pivot columns: the scaled anchor
+    differences and those axes.
     """
-    rows = _difference_columns(_scaled(vertices))
+    m, n = len(scaled), len(scaled[0])
+    rows = _difference_columns(scaled, n)
     pivots = linalg._gauss_jordan(rows)
-    den = math.lcm(*(row[col] for row, col in zip(rows, pivots)))
+    anchor = [col for col in pivots if col < m - 1]
+    den = math.lcm(*(row[col] for row, col in zip(rows, anchor)))
     coordinates = [
-        tuple([row[j] * (den // row[col]) for row, col in zip(rows, pivots)])
-        for j in range(len(vertices) - 1)
-        if j not in pivots
+        tuple([row[j] * (den // row[col]) for row, col in zip(rows, anchor)])
+        for j in range(m - 1)
+        if j not in anchor
     ]
-    return [0] + [j + 1 for j in pivots], coordinates, den
+    return [0] + [j + 1 for j in anchor], coordinates, den, rows, pivots
+
+
+def _witness(rows, pivots, l_scale: int, a0, r_scale: int, candidate) -> AffineMap:
+    """The affine map sending the anchor, extended to a basis as
+    extend_to_basis does, to the candidate extended alike.
+
+    rows and pivots are _anchor_coordinates' elimination, a0 the first left
+    vertex times l_scale, candidate the right tuple times r_scale.  With Q
+    the candidate's differences and its own extension axes as columns, the
+    matrix is A = Q S diag(p)^-1 E, S = diag(L / R, ..., 1, ...) taking the
+    scales off the difference columns, and the translation b_0 - A a_0.
+    Both are summed in ints, and each entry becomes one Fraction.  The
+    candidate's axes take an elimination of their own only when the tuple
+    spans less than the space.
+    """
+    n, d = len(a0), len(candidate) - 1
+    b0 = candidate[0]
+    axes = []
+    if d < n:
+        axes = [col - d for col in linalg._gauss_jordan(_difference_columns(candidate, n))[d:]]
+    den = math.lcm(*(row[col] for row, col in zip(rows, pivots)))
+    # row k of S diag(p)^-1 E, times r_scale den
+    inverse = [
+        [x * (den // row[col]) * (l_scale if k < d else r_scale) for x in row[len(row) - n :]]
+        for k, (row, col) in enumerate(zip(rows, pivots))
+    ]
+    q = [
+        [b[r] - b0[r] for b in candidate[1:]] + [int(r == axis) for axis in axes]
+        for r in range(n)
+    ]
+    # A times r_scale den
+    numerators = [[sum(map(mul, row, column)) for column in zip(*inverse)] for row in q]
+    scale = r_scale * den
+    return AffineMap(
+        [[Fraction(x, scale) for x in row] for row in numerators],
+        [
+            Fraction(y * den * l_scale - sum(map(mul, row, a0)), scale * l_scale)
+            for y, row in zip(b0, numerators)
+        ],
+    )
 
 
 def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
@@ -239,12 +293,12 @@ def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
     coordinates of the left vertices (solved once per decision): it passes
     when the same combinations of its vertices give the right vertex set.
     Every left vertex lies in the anchor's affine hull, so extending the
-    anchor to a basis of the space cannot change these images: the basis
-    extension and the witness map are built once, for the tuple accepted.
+    anchor to a basis of the space cannot change these images.  The
+    witness is built for the accepted tuple alone, from the elimination
+    that gave the coordinates (see _witness).
     """
     if left.dimension != right.dimension:
         raise AffineError("polytopes live in different ambient dimensions")
-    n = left.dimension
     if left.affine_dimension != right.affine_dimension:
         return EquivalenceVerdict(False, None, "dimension-mismatch")
     lv, rv = list(left.vertices), list(right.vertices)
@@ -255,8 +309,9 @@ def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
     r_rows = [sorted(row) for row in rg]
     if l_den != r_den or sorted(l_rows) != sorted(r_rows):
         return EquivalenceVerdict(False, None, "exhausted-correspondences")
-    anchor_idx, coordinates, den = _anchor_coordinates(lv)
-    scaled = _scaled(rv)
+    l_scale, l_scaled = _scaled(lv)
+    anchor_idx, coordinates, den, eliminated, pivots = _anchor_coordinates(l_scaled)
+    r_scale, scaled = _scaled(rv)
     target = {tuple([den * x for x in v]) for v in scaled}
 
     for perm in _anchor_images(anchor_idx, lg, rg, l_rows, r_rows, []):
@@ -268,11 +323,7 @@ def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
         rows = [(den * x, [b[r] - x for b in others]) for r, x in enumerate(b0)]
         images = (tuple([x + sum(map(mul, cs, d)) for x, d in rows]) for cs in coordinates)
         if all(image in target for image in images):
-            anchor = [lv[i] for i in anchor_idx]
-            candidate = [rv[i] for i in perm]
-            witness = map_from_correspondence(
-                extend_to_basis(anchor, n), extend_to_basis(candidate, n)
-            )
+            witness = _witness(eliminated, pivots, l_scale, l_scaled[0], r_scale, [b0, *others])
             return EquivalenceVerdict(True, witness, "witness-found")
     return EquivalenceVerdict(False, None, "exhausted-correspondences")
 

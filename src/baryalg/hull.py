@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
@@ -300,28 +301,30 @@ def _projection(points: Sequence[Point]) -> tuple[list[list[int]], int, int]:
 
     The elimination is in ints: with L the lcm of all denominators, the
     columns m L p - L sum(p) make m L D, which has D's row space and so the
-    same G.  den > 0, and no Fraction is built.
+    same G.  It is one Gauss-Jordan elimination of [D D^T | D].  D^T x = 0
+    exactly when D D^T x = 0, so a row whose left block reduces to zero has
+    a zero right block too, the rows of D at the pivot columns form a row
+    basis B, and pivot row k's right block is p_k times row k of
+    (B B^T)^-1 B, p_k being its pivot entry.  den > 0, and no Fraction is
+    built.
     """
     m, n = len(points), len(points[0])
     _, flat = integer_row([x for p in points for x in p])
-    basis = []
+    centred = []
     for r in range(n):
         coordinate = flat[r::n]
         total = sum(coordinate)
-        basis.append([m * x - total for x in coordinate])
-    rk = len(linalg._gauss_jordan(basis))
-    del basis[rk:]
-    # Row-reducing [B B^T | B] leaves p_k times row k of (B B^T)^-1 B in the
-    # right block of row k, p_k being its pivot entry at column k.
-    aug = [[sum(x * y for x, y in zip(bi, bj)) for bj in basis] + bi for bi in basis]
-    linalg._gauss_jordan(aug)
-    den = math.lcm(*(row[k] for k, row in enumerate(aug)))
-    solved = [[x * (den // row[k]) for x in row[rk:]] for k, row in enumerate(aug)]
-    numerators = [
-        [sum(basis[k][i] * solved[k][j] for k in range(rk)) for j in range(m)]
-        for i in range(m)
-    ]
-    return numerators, den, rk
+        centred.append([m * x - total for x in coordinate])
+    aug = [[sum(map(mul, di, dj)) for dj in centred] + di for di in centred]
+    pivots = linalg._gauss_jordan(aug)
+    den = math.lcm(*(row[col] for row, col in zip(aug, pivots)))
+    solved = [[x * (den // row[col]) for x in row[n:]] for row, col in zip(aug, pivots)]
+    # G_ij pairs column i of B with column j of the solved block
+    basis = [centred[col] for col in pivots]
+    b_columns = [[row[i] for row in basis] for i in range(m)]
+    s_columns = [[row[j] for row in solved] for j in range(m)]
+    numerators = [[sum(map(mul, b, s)) for s in s_columns] for b in b_columns]
+    return numerators, den, len(pivots)
 
 
 def _separated(numerators: list[list[int]], i: int) -> bool:

@@ -410,6 +410,9 @@ def test_affine_equivalence_matches_unpruned_search():
         psi = _random_rational_map(rng, len(shape[0]))
         pairs.append((shape, [psi.apply(p) for p in shape]))
         pairs.append((shape, [psi.apply(p) for p in reversed(shape)]))
+    # segments along different axes, and the one point of Q^0
+    pairs.append((_pts((0, 0), (2, 0)), _pts((1, 0), (1, 3))))
+    pairs.append(([()], [()]))
 
     seen = set()
     for left, right in pairs:
@@ -429,7 +432,22 @@ def test_affine_equivalence_matches_unpruned_search():
             _, r_den, _ = hull._projection(list(rp.vertices))
             seen.add("raw dens differ" * (l_den != r_den))
             seen.add("det != +-1" * (abs(_determinant(witness.matrix)) != 1))
-    assert {"inside point", "point", "flat in Q^3", "raw dens differ", "det != +-1"} <= seen
+            # the axes each side's basis adds, as offsets of its first point
+            vertices = list(lp.vertices)
+            anchor = [vertices[i] for i in max_independent_subset(vertices)]
+            axes = []
+            for q in (anchor, [witness.apply(a) for a in anchor]):
+                added = extend_to_basis(q, lp.dimension)[len(q) :]
+                axes.append([tuple(x - y for x, y in zip(p, q[0])) for p in added])
+            seen.add("extension axes differ" * (axes[0] != axes[1]))
+    assert {
+        "inside point",
+        "point",
+        "flat in Q^3",
+        "raw dens differ",
+        "det != +-1",
+        "extension axes differ",
+    } <= seen
 
 
 def _determinant(matrix):
@@ -455,22 +473,34 @@ def test_parabola_pairs_are_decided_without_solving(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(linalg, "solve_affine", no_solve)
-    for name in ("map_from_correspondence", "extend_to_basis"):
-        monkeypatch.setattr(affine_module, name, recording(name, getattr(affine_module, name)))
-    monkeypatch.setattr(AffineMap, "apply", recording("apply", AffineMap.apply))
     parabola = VPolytope([(F(t), F(t * t)) for t in range(16)])
     shifted = VPolytope([(F(t), F(t * t)) for t in [*range(15), 16]])
     image = VPolytope([(F(2 * t + 1), F(t * t - t)) for t in range(16)])
+    # segments along different axes: each side's basis adds a different axis
+    across = VPolytope(_pts((0, 0), (2, 0)))
+    upright = VPolytope(_pts((1, 0), (1, 3)))
+    for polytope in (parabola, shifted, image, across, upright):
+        polytope._gram  # the vertices and G, which eliminate in hull
+    monkeypatch.setattr(linalg, "solve_affine", no_solve)
+    for name in ("map_from_correspondence", "extend_to_basis"):
+        monkeypatch.setattr(affine_module, name, recording(name, getattr(affine_module, name)))
+    for name in ("rref", "_gauss_jordan"):
+        monkeypatch.setattr(linalg, name, recording(name, getattr(linalg, name)))
+    monkeypatch.setattr(AffineMap, "apply", recording("apply", AffineMap.apply))
     verdict = affine_equivalence(parabola, shifted)
     assert verdict.reason == "exhausted-correspondences"
     assert calls == []
-    verdict = affine_equivalence(parabola, image)
-    assert verdict.equivalent
-    # one basis per side and one map, for the accepted candidate only; the
-    # search itself applies no map
-    assert calls == ["extend_to_basis", "extend_to_basis", "map_from_correspondence"]
-    assert {verdict.witness.apply(v) for v in parabola.vertices} == set(image.vertices)
+    curve = affine_equivalence(parabola, image)
+    # the anchor elimination, and AffineMap's rank check of the witness: no
+    # basis, solve or map from a correspondence, and the search applies no map
+    assert calls == ["_gauss_jordan", "_gauss_jordan"]
+    calls.clear()
+    segment = affine_equivalence(across, upright)
+    # one more elimination, for the candidate's extension axes
+    assert calls == ["_gauss_jordan"] * 3
+    monkeypatch.undo()
+    for verdict, (left, right) in ((curve, (parabola, image)), (segment, (across, upright))):
+        assert {verdict.witness.apply(v) for v in left.vertices} == set(right.vertices)
 
 
 def _gram(points):

@@ -305,6 +305,17 @@ def test_affine_equiv_command(capsys, tmp_path):
     assert report["result"]["witness"]["matrix"] == [["2", "1"], ["0", "1"]]
 
 
+def test_affine_equiv_of_the_point_of_q0(capsys):
+    # the one point of the zero-dimensional space is mapped by the empty map
+    code, report = run_cli(capsys, "affine-equiv", "--left", "[[]]", "--right", "[[]]")
+    assert code == 0
+    assert report["result"] == {
+        "equivalent": True,
+        "reason": "witness-found",
+        "witness": {"matrix": [], "translation": []},
+    }
+
+
 def test_iso_check_command(capsys):
     code, report = run_cli(
         capsys,
@@ -516,12 +527,12 @@ def test_unwritable_out_is_bad_input(capsys, tmp_path):
 def test_internal_dimension_error_is_bad_input(capsys, monkeypatch):
     # only a real dimension mismatch exits 4; other errors that mention a
     # dimension are bad input
-    def no_basis(points, dimension):
+    def no_witness(rows, pivots, l_scale, a0, r_scale, candidate):
         raise affine.AffineError(
-            f"no affine basis of dimension {dimension} extends the points"
+            f"no affine basis of dimension {len(a0)} extends the points"
         )
 
-    monkeypatch.setattr(affine, "extend_to_basis", no_basis)
+    monkeypatch.setattr(affine, "_witness", no_witness)
     code, report = run_cli(
         capsys, "affine-equiv", "--left", '[["0"],["1"]]', "--right", '[["0"],["3"]]'
     )
