@@ -15,7 +15,8 @@ denominator in lowest terms, and a tuple is tested on the left vertices'
 coordinates over the anchor.  One int elimination per decision gives those
 coordinates and the inverse of the anchor's basis, extended to the whole
 space, so the witness for the accepted tuple is summed in ints, one
-Fraction per entry.
+Fraction per entry.  Every affine basis and map here comes from that one
+elimination routine (_eliminate) and that one map builder (_witness).
 The same witness, restricted to the polytope, is an isomorphism of the
 associated barycentric algebras for any coefficient ring: an affine map
 commutes with every barycentric operation by construction (see
@@ -28,12 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .hull import VPolytope
 from .mode import Point, as_point, bary_op
-from .scalar import RingSpec, integer_row
+from .scalar import RingSpec, integer_points
 
 
 class AffineError(ValueError):
@@ -48,8 +49,8 @@ class AffineMap:
     translation: tuple[Fraction, ...]
 
     def __init__(self, matrix: Sequence[Sequence], translation: Sequence):
-        m = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-        t = tuple(Fraction(x) for x in translation)
+        m = tuple(as_point(row) for row in matrix)
+        t = as_point(translation)
         n = len(t)
         if len(m) != n or any(len(row) != n for row in m):
             raise AffineError("matrix must be square and match the translation")
@@ -107,6 +108,34 @@ def affine_independent(points: Sequence[Sequence]) -> bool:
     return linalg.rank(_difference_columns(pts)) == len(pts) - 1
 
 
+class _Elimination(NamedTuple):
+    """The points times their least common denominator scale, and the int
+    rows and pivots of one Gauss-Jordan elimination of [scale (v_j - v_0) | I_n].
+
+    The pivots among the differences give the greedy independent subset
+    (independent, as point indices), and those in the identity block the
+    axes a greedy pass in axis order adds to make it an affine basis.
+    """
+
+    scale: int
+    points: list[tuple[int, ...]]
+    rows: list[list[int]]
+    pivots: list[int]
+    independent: list[int]
+    axes: list[int]
+
+
+def _eliminate(points: Sequence[Sequence]) -> _Elimination:
+    """The one elimination every affine basis and map is read from."""
+    scale, scaled = integer_points(points)
+    m, n = len(scaled), len(scaled[0])
+    rows = _difference_columns(scaled, n)
+    pivots = linalg._gauss_jordan(rows)
+    k = sum(col < m - 1 for col in pivots)
+    independent, axes = [0] + [j + 1 for j in pivots[:k]], [col - m + 1 for col in pivots[k:]]
+    return _Elimination(scale, scaled, rows, pivots, independent, axes)
+
+
 def max_independent_subset(points: Sequence[Sequence]) -> list[int]:
     """Greedy maximal affinely independent sub-list, in input order.
 
@@ -115,28 +144,26 @@ def max_independent_subset(points: Sequence[Sequence]) -> list[int]:
     All maximal independent subsets of a set share one size (one more than
     the affine dimension), so the greedy result has canonical length.
     """
-    pivots = linalg._pivots(_difference_columns(_points(points)))
-    return [0] + [j + 1 for j in pivots]
+    return _eliminate(_points(points)).independent
 
 
 def extend_to_basis(points: Sequence[Sequence], dimension: int) -> list[Point]:
     """Extend an independent list to an affine basis of the ambient space,
     using offsets of the first point by standard basis vectors.
 
-    The pivots of [differences | e_1..e_n] past the differences are the
-    axes a greedy pass in axis order would add; the points are independent
-    iff every difference column is a pivot.
+    The axes are those a greedy pass in axis order would add (see
+    _Elimination); the points are independent iff every difference column
+    is a pivot.
     """
     pts = _points(points)
     if any(len(q) != dimension for q in pts):
         raise AffineError("points do not live in the requested dimension")
-    k = len(pts) - 1
-    pivots = linalg._pivots(_difference_columns(pts, dimension))
-    if pivots[:k] != list(range(k)):
+    eliminated = _eliminate(pts)
+    if len(eliminated.independent) < len(pts):
         raise AffineError("input points are affinely dependent")
     return pts + [
-        tuple(c + (1 if j == axis - k else 0) for j, c in enumerate(pts[0]))
-        for axis in pivots[k:]
+        tuple(c + (1 if j == axis else 0) for j, c in enumerate(pts[0]))
+        for axis in eliminated.axes
     ]
 
 
@@ -145,29 +172,21 @@ def map_from_correspondence(
 ) -> Optional[AffineMap]:
     """The unique affine map sending src_i to dst_i.
 
-    src must be an affinely independent basis of n+1 points; the map is
-    invertible iff dst is also independent, and None reports the
-    non-invertible case.
+    src must be an affinely independent basis of n+1 points, and dst n+1
+    points of the same dimension; the map is invertible iff dst is also
+    independent, and None reports the non-invertible case.
     """
     s, d = _points(src), _points(dst)
     n = len(s[0])
+    if len(d[0]) != n:
+        raise AffineError("source and target points live in different dimensions")
     if len(s) != n + 1 or len(d) != n + 1:
         raise AffineError(f"need exactly {n + 1} source and target points")
-    # A maps difference vectors of src to those of dst: row-reducing the
-    # stacked difference rows [S^T | D^T] leaves A^T in the right block
-    # when the left block reduces to the identity.
-    aug = [
-        [s[i + 1][r] - s[0][r] for r in range(n)]
-        + [d[i + 1][r] - d[0][r] for r in range(n)]
-        for i in range(n)
-    ]
-    red, pivots, _ = linalg.rref(aug)
-    if pivots[:n] != list(range(n)):
+    source = _eliminate(s)
+    if len(source.independent) <= n:
         raise AffineError("source points are affinely dependent")
-    a = [[red[c][n + r] for c in range(n)] for r in range(n)]
-    b = [d[0][r] - sum(a[r][j] * s[0][j] for j in range(n)) for r in range(n)]
     try:
-        return AffineMap(a, b)
+        return _witness(source, *integer_points(d))
     except AffineError:  # A is singular exactly when dst is dependent
         return None
 
@@ -197,81 +216,38 @@ def _anchor_images(anchor_idx, lg, rg, l_rows, r_rows, chosen: list[int]):
             yield from _anchor_images(anchor_idx, lg, rg, l_rows, r_rows, chosen + [j])
 
 
-def _scaled(points: list[Point]) -> tuple[int, list[tuple[int, ...]]]:
-    """(L, the points times L), L their least common denominator, as int tuples."""
-    n = len(points[0])
-    scale, flat = integer_row([x for p in points for x in p])
-    return scale, [flat[i * n : (i + 1) * n] for i in range(len(points))]
+def _witness(left: _Elimination, scale: int, candidate: list[tuple[int, ...]]) -> AffineMap:
+    """The affine map sending left's independent points and axes to the
+    candidate, as many points times scale, and its own axes.
 
-
-def _anchor_coordinates(
-    scaled: list[tuple[int, ...]],
-) -> tuple[list[int], list[tuple[int, ...]], int, list[list[int]], list[int]]:
-    """(anchor, C, den, rows, pivots) for the vertices, given times their
-    common denominator L.
-
-    anchor is max_independent_subset(vertices), and the int rows of C over
-    den are the anchor coordinates c of every other vertex v,
-    v = a_0 + sum_k c_k (a_k - a_0), in vertex order.  rows and pivots are
-    one Gauss-Jordan elimination of [L (v_j - v_0) | I_n], from which
-    _witness builds the map for an accepted candidate.
-
-    Its pivot columns among the differences are the ones
-    max_independent_subset reads, and the non-pivot column of v holds v's
-    coordinates over them, row k over its pivot entry p_k.  Every vertex
-    lies in the anchor's affine hull, so its pivot columns in the identity
-    block are the axes extend_to_basis(anchor, n) adds, and that block is
-    E = diag(p) P^-1, with P the pivot columns: the scaled anchor
-    differences and those axes.
+    Every point of left lies in its independent points' affine hull, so
+    the identity block of left's pivot rows is E = diag(p) P^-1, P the
+    scaled differences and the axes.  With Q the candidate's as columns,
+    A = Q S diag(p)^-1 E, S = diag(L / R, ..., 1, ...) taking the scales
+    off the difference columns, and b = b_0 - A a_0, summed in ints with
+    one Fraction per entry.  The candidate's axes take an elimination only
+    when it spans less than the space.
     """
-    m, n = len(scaled), len(scaled[0])
-    rows = _difference_columns(scaled, n)
-    pivots = linalg._gauss_jordan(rows)
-    anchor = [col for col in pivots if col < m - 1]
-    den = math.lcm(*(row[col] for row, col in zip(rows, anchor)))
-    coordinates = [
-        tuple([row[j] * (den // row[col]) for row, col in zip(rows, anchor)])
-        for j in range(m - 1)
-        if j not in anchor
-    ]
-    return [0] + [j + 1 for j in anchor], coordinates, den, rows, pivots
-
-
-def _witness(rows, pivots, l_scale: int, a0, r_scale: int, candidate) -> AffineMap:
-    """The affine map sending the anchor, extended to a basis as
-    extend_to_basis does, to the candidate extended alike.
-
-    rows and pivots are _anchor_coordinates' elimination, a0 the first left
-    vertex times l_scale, candidate the right tuple times r_scale.  With Q
-    the candidate's differences and its own extension axes as columns, the
-    matrix is A = Q S diag(p)^-1 E, S = diag(L / R, ..., 1, ...) taking the
-    scales off the difference columns, and the translation b_0 - A a_0.
-    Both are summed in ints, and each entry becomes one Fraction.  The
-    candidate's axes take an elimination of their own only when the tuple
-    spans less than the space.
-    """
+    a0, b0 = left.points[0], candidate[0]
     n, d = len(a0), len(candidate) - 1
-    b0 = candidate[0]
-    axes = []
-    if d < n:
-        axes = [col - d for col in linalg._gauss_jordan(_difference_columns(candidate, n))[d:]]
-    den = math.lcm(*(row[col] for row, col in zip(rows, pivots)))
-    # row k of S diag(p)^-1 E, times r_scale den
+    axes = _eliminate(candidate).axes if d < n else []
+    rows, l_scale = left.rows, left.scale
+    den = math.lcm(*(row[col] for row, col in zip(rows, left.pivots)))
+    # row k of S diag(p)^-1 E, times scale den
     inverse = [
-        [x * (den // row[col]) * (l_scale if k < d else r_scale) for x in row[len(row) - n :]]
-        for k, (row, col) in enumerate(zip(rows, pivots))
+        [x * (den // row[col]) * (l_scale if k < d else scale) for x in row[len(row) - n :]]
+        for k, (row, col) in enumerate(zip(rows, left.pivots))
     ]
     q = [
         [b[r] - b0[r] for b in candidate[1:]] + [int(r == axis) for axis in axes]
         for r in range(n)
     ]
-    # A times r_scale den
+    # A times scale den
     numerators = [[sum(map(mul, row, column)) for column in zip(*inverse)] for row in q]
-    scale = r_scale * den
     return AffineMap(
-        [[Fraction(x, scale) for x in row] for row in numerators],
+        [[Fraction(x, scale * den) for x in row] for row in numerators],
         [
-            Fraction(y * den * l_scale - sum(map(mul, row, a0)), scale * l_scale)
+            Fraction(y * den * l_scale - sum(map(mul, row, a0)), scale * den * l_scale)
             for y, row in zip(b0, numerators)
         ],
     )
@@ -309,12 +285,21 @@ def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
     r_rows = [sorted(row) for row in rg]
     if l_den != r_den or sorted(l_rows) != sorted(r_rows):
         return EquivalenceVerdict(False, None, "exhausted-correspondences")
-    l_scale, l_scaled = _scaled(lv)
-    anchor_idx, coordinates, den, eliminated, pivots = _anchor_coordinates(l_scaled)
-    r_scale, scaled = _scaled(rv)
+    eliminated = _eliminate(lv)
+    rows = eliminated.rows
+    anchor = eliminated.pivots[: len(eliminated.independent) - 1]
+    den = math.lcm(*(row[col] for row, col in zip(rows, anchor)))
+    # the non-pivot column of vertex v holds its coordinates c over the
+    # anchor, v = a_0 + sum_k c_k (a_k - a_0), row k over its pivot entry
+    coordinates = [
+        tuple([row[j] * (den // row[col]) for row, col in zip(rows, anchor)])
+        for j in range(len(lv) - 1)
+        if j not in anchor
+    ]
+    r_scale, scaled = integer_points(rv)
     target = {tuple([den * x for x in v]) for v in scaled}
 
-    for perm in _anchor_images(anchor_idx, lg, rg, l_rows, r_rows, []):
+    for perm in _anchor_images(eliminated.independent, lg, rg, l_rows, r_rows, []):
         # The candidate has the anchor's G block, so it is independent like
         # the anchor, and the images below are distinct: all of them in
         # target makes a bijection of the vertex sets.
@@ -323,7 +308,7 @@ def affine_equivalence(left: VPolytope, right: VPolytope) -> EquivalenceVerdict:
         rows = [(den * x, [b[r] - x for b in others]) for r, x in enumerate(b0)]
         images = (tuple([x + sum(map(mul, cs, d)) for x, d in rows]) for cs in coordinates)
         if all(image in target for image in images):
-            witness = _witness(eliminated, pivots, l_scale, l_scaled[0], r_scale, [b0, *others])
+            witness = _witness(eliminated, r_scale, [b0, *others])
             return EquivalenceVerdict(True, witness, "witness-found")
     return EquivalenceVerdict(False, None, "exhausted-correspondences")
 

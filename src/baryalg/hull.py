@@ -47,6 +47,7 @@ from . import linalg
 from .mode import Point, as_point, bary_op
 from .scalar import (
     RingSpec,
+    integer_points,
     integer_row,
     prime_valuation,
     ring_contains,
@@ -309,10 +310,9 @@ def _projection(points: Sequence[Point]) -> tuple[list[list[int]], int, int]:
     built.
     """
     m, n = len(points), len(points[0])
-    _, flat = integer_row([x for p in points for x in p])
+    _, scaled = integer_points(points)
     centred = []
-    for r in range(n):
-        coordinate = flat[r::n]
+    for coordinate in zip(*scaled):
         total = sum(coordinate)
         centred.append([m * x - total for x in coordinate])
     aug = [[sum(map(mul, di, dj)) for dj in centred] + di for di in centred]
@@ -446,6 +446,8 @@ class TSegment:
 
     def __init__(self, anchor_a: Sequence, anchor_b: Sequence, start, end):
         a, b = as_point(anchor_a), as_point(anchor_b)
+        if len(a) != len(b):
+            raise HullError("segment anchors must have the same dimension")
         if a == b:
             raise HullError("segment anchors must differ")
         object.__setattr__(self, "anchor_a", a)
@@ -489,6 +491,8 @@ def ring_lines_through(
     Only m <= line_bound are explored.
     """
     c, d = as_point(c), as_point(d)
+    if len(c) != len(d):
+        raise HullError("need two points of the same dimension")
     if c == d:
         raise HullError("need two distinct points")
     return list(_ring_lines(c, d, ring, line_bound))

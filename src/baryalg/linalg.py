@@ -319,9 +319,11 @@ def verify_farkas_certificate(
 ) -> bool:
     """Check that the multipliers re-derive an exact contradiction 0 <= c < 0."""
     cert = _frac_vector(certificate)
+    num_vars = len(constraints[0].coeffs) if constraints else 0
+    if any(len(con.coeffs) != num_vars for con in constraints):
+        raise LinalgError("constraint arity mismatch")
     if len(cert) != len(constraints):
         return False
-    num_vars = len(constraints[0].coeffs) if constraints else 0
     combo = [Fraction(0)] * num_vars
     total = Fraction(0)
     for lam, con in zip(cert, constraints):

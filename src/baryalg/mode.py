@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .scalar import format_rational, integer_row, parse_rational
+from .scalar import format_rational, integer_points, integer_row, parse_rational
 
 Point = tuple[Fraction, ...]
 
@@ -196,8 +196,7 @@ def check_laws(sample: Sequence[Sequence], parameters: Sequence) -> LawReport:
         if len(y) != dim:
             raise ModeError(f"dimension mismatch: {dim} vs {len(y)}")
     n = len(points)
-    _, flat = integer_row([c for x in points for c in x])
-    scaled = [flat[i * dim : (i + 1) * dim] for i in range(n)]
+    _, scaled = integer_points(points)
     e, weights = integer_row(params)
     tables = {}
     for a in weights:

@@ -144,6 +144,12 @@ def integer_row(vector: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
     return d, tuple([x.numerator * (d // x.denominator) for x in vector])
 
 
+def integer_points(points: Sequence[Sequence[Rational]]) -> tuple[int, list[tuple[int, ...]]]:
+    """(d, each point times d as an int tuple), d the lcm of all coordinates' denominators."""
+    d = lcm(*(x.denominator for p in points for x in p))
+    return d, [tuple([x.numerator * (d // x.denominator) for x in p]) for p in points]
+
+
 def smallest_inverted_prime(ring: RingSpec) -> int:
     return ring.inverted_primes[0]
 

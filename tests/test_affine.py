@@ -194,6 +194,109 @@ def test_map_from_correspondence_examples():
         map_from_correspondence(_pts((0, 0), (1, 1), (2, 2)), basis)
 
 
+def test_map_from_correspondence_checks_the_dimension():
+    for src, dst in (
+        (_pts((0,), (1,)), _pts((0, 5), (1, 7))),
+        (TRIANGLE, _pts((0,), (1,), (2,))),
+    ):
+        with pytest.raises(AffineError, match="different dimensions"):
+            map_from_correspondence(src, dst)
+
+
+def _reference_map_from_correspondence(src, dst):
+    """The affine map sending src_i to dst_i, by a Fraction rref: the
+    reference for the library's int construction.
+
+    src and dst are n+1 points of Q^n.  A maps the differences of src to
+    those of dst, so row-reducing the stacked difference rows [S^T | D^T]
+    leaves A^T in the right block when the left block reduces to the
+    identity.  None when dst is dependent.
+    """
+    s = [tuple(F(x) for x in p) for p in src]
+    d = [tuple(F(x) for x in p) for p in dst]
+    n = len(s[0])
+    aug = [
+        [s[i + 1][r] - s[0][r] for r in range(n)]
+        + [d[i + 1][r] - d[0][r] for r in range(n)]
+        for i in range(n)
+    ]
+    red, pivots, _ = linalg.rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise AffineError("source points are affinely dependent")
+    a = [[red[c][n + r] for c in range(n)] for r in range(n)]
+    b = [d[0][r] - sum(a[r][j] * s[0][j] for j in range(n)) for r in range(n)]
+    try:
+        return AffineMap(a, b)
+    except AffineError:
+        return None
+
+
+def _random_flat_points(rng, n, count):
+    """count rational points of Q^n; about a third lie on a random
+    lower-dimensional flat, and some repeat a point."""
+    def rational():
+        return F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 7]))
+
+    rank = rng.randint(0, n - 1) if n and rng.random() < 1 / 3 else n
+    base = [rational() for _ in range(n)]
+    directions = [[rational() for _ in range(n)] for _ in range(rank)]
+    points = []
+    for _ in range(count):
+        weights = [rational() for _ in directions]
+        points.append(
+            tuple(b + sum((w * d[r] for w, d in zip(weights, directions)), F(0))
+                  for r, b in enumerate(base))
+        )
+    if count > 1 and rng.random() < 0.1:
+        points[rng.randrange(count)] = rng.choice(points)
+    return points
+
+
+def test_helpers_match_the_fraction_reference():
+    rng = random.Random(1968)
+    seen = set()
+    for case in range(1000):
+        n = case % 5
+        src = _random_flat_points(rng, n, n + 1)
+        dst = _random_flat_points(rng, n, n + 1)
+        chosen = max_independent_subset(src)
+        assert chosen == _greedy_subset(src)
+        anchor = [src[i] for i in chosen]
+        assert extend_to_basis(anchor, n) == _greedy_basis(anchor, n)
+        try:
+            expected = _reference_map_from_correspondence(src, dst)
+        except AffineError:
+            with pytest.raises(AffineError):
+                map_from_correspondence(src, dst)
+            seen.add("dependent source")
+            continue
+        psi = map_from_correspondence(src, dst)
+        assert psi == expected
+        if psi is None:
+            seen.add("dependent target")
+            continue
+        basis = [tuple(int(i == j) for j in range(n)) for i in range(-1, n)]
+        assert psi.inverse() == _reference_map_from_correspondence(
+            [psi.apply(x) for x in basis], basis
+        )
+        seen.add(("map", n))
+        seen.add("fractional map" * any(x.denominator > 1 for row in psi.matrix for x in row))
+    assert {("map", n) for n in range(5)} | {"dependent source", "dependent target"} <= seen
+    assert "fractional map" in seen
+
+
+def test_affine_helpers_make_no_rref_call(monkeypatch):
+    def no_rref(*args):
+        raise AssertionError("bases and maps should come from the int elimination")
+
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    psi = map_from_correspondence(TRIANGLE, _pts((1, 1), (3, 1), (1, 4)))
+    assert psi.matrix == ((2, 0), (0, 3)) and psi.translation == (1, 1)
+    assert psi.inverse().apply((3, 1)) == (1, 0)
+    assert extend_to_basis(_pts((0, 0), (1, 1)), 2) == _pts((0, 0), (1, 1), (1, 0))
+    assert max_independent_subset(HEXAGON) == [0, 1, 2]
+
+
 def test_map_from_correspondence_random_roundtrip():
     rng = random.Random(31)
     for _ in range(25):
@@ -295,20 +398,21 @@ def test_affine_equivalence_roundtrip_random():
 
 def _reference_equivalence(left, right):
     """The unpruned search: every ordered tuple of distinct right-hand
-    vertices, in lexicographic order, tried against the anchor."""
+    vertices, in lexicographic order, tried against the anchor.  Its bases
+    and maps come from the test references, not from the library's."""
     n = left.dimension
     if left.affine_dimension != right.affine_dimension:
         return False, "dimension-mismatch", None
     lv, rv = list(left.vertices), list(right.vertices)
     if len(lv) != len(rv):
         return False, "vertex-count-mismatch", None
-    anchor = [lv[i] for i in max_independent_subset(lv)]
-    src_basis = extend_to_basis(anchor, n)
+    anchor = [lv[i] for i in _greedy_subset(lv)]
+    src_basis = _greedy_basis(anchor, n)
     for perm in itertools.permutations(range(len(rv)), len(anchor)):
         candidate = [rv[i] for i in perm]
         if not affine_independent(candidate):
             continue
-        witness = map_from_correspondence(src_basis, extend_to_basis(candidate, n))
+        witness = _reference_map_from_correspondence(src_basis, _greedy_basis(candidate, n))
         if witness is not None and {witness.apply(v) for v in lv} == set(rv):
             return True, "witness-found", witness
     return False, "exhausted-correspondences", None

@@ -527,9 +527,9 @@ def test_unwritable_out_is_bad_input(capsys, tmp_path):
 def test_internal_dimension_error_is_bad_input(capsys, monkeypatch):
     # only a real dimension mismatch exits 4; other errors that mention a
     # dimension are bad input
-    def no_witness(rows, pivots, l_scale, a0, r_scale, candidate):
+    def no_witness(left, scale, candidate):
         raise affine.AffineError(
-            f"no affine basis of dimension {len(a0)} extends the points"
+            f"no affine basis of dimension {len(left.points[0])} extends the points"
         )
 
     monkeypatch.setattr(affine, "_witness", no_witness)

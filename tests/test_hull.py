@@ -755,6 +755,9 @@ def test_t_segment_points_examples():
     assert {p[0] for p in t_segment_points(seg, DYADIC, 1)} == {0, F(3, 2), 3}
     with pytest.raises(HullError):
         TSegment([1], [1], 0, 1)
+    for a, b in (([0], [1, 2]), ([0, 0], [1])):
+        with pytest.raises(HullError, match="same dimension"):
+            TSegment(a, b, 0, 1)
     with pytest.raises(HullError):
         t_segment_points(TSegment([0], [1], F(1, 3), 1), DYADIC, 1)
 
@@ -766,6 +769,9 @@ def test_ring_lines_enumeration():
     assert segs[0].anchor_b == (3,)
     assert segs[1].anchor_b == (1,)
     assert {p[0] for p in t_segment_points(segs[1], DYADIC, 0)} == {0, 1, 2, 3}
+    for c, d in (([0], [3, 4]), ([3, 4], [0])):
+        with pytest.raises(HullError, match="same dimension"):
+            ring_lines_through(c, d, DYADIC, 1)
 
 
 def test_closure_engine_examples():

@@ -307,6 +307,18 @@ def test_lp_infeasible_with_certificate():
     assert verify_farkas_certificate(cons, res.certificate)
 
 
+def test_farkas_checker_refuses_ragged_systems():
+    # x <= -1 and -x + 5y <= 0 are feasible (x = -1, y = -1); the multipliers
+    # (1, 1) sum to 0 <= -1 only if the 5 is dropped
+    ragged = [LinearConstraint([1], "<=", -1), LinearConstraint([-1, 5], "<=", 0)]
+    assert lp_feasible([LinearConstraint([1, 0], "<=", -1), ragged[1]]).feasible
+    for system in (ragged, ragged[::-1]):
+        with pytest.raises(linalg.LinalgError, match="constraint arity mismatch"):
+            verify_farkas_certificate(system, [1, 1])
+        with pytest.raises(linalg.LinalgError, match="constraint arity mismatch"):
+            lp_feasible(system)
+
+
 def test_lp_barycentric_membership_system():
     # 1 in the hull of {0, 3}: unique coefficients (2/3, 1/3)
     cons = [

@@ -10,6 +10,7 @@ from baryalg.scalar import (
     RingSpec,
     ScalarError,
     format_rational,
+    integer_points,
     parse_rational,
     prime_valuation,
     ring_contains,
@@ -117,6 +118,21 @@ def test_primality_is_exact_on_strong_pseudoprimes():
             RingSpec([n])
     primes = [n for n in range(2, 3000) if trial_factorization(n) == {n: 1}]
     assert [n for n in range(3000) if _is_prime(n)] == primes
+
+
+def test_integer_points():
+    F = Fraction
+    assert integer_points([()]) == (1, [()])
+    assert integer_points([(F(3, 4),)]) == (4, [(3,)])
+    assert integer_points([(F(1, 2), F(-2, 3)), (F(-5), F(1, 6))]) == (
+        6,
+        [(3, -4), (-30, 1)],
+    )
+    points = [(F(-7, 10), F(0), F(3, 4)), (F(1, 15), F(-2), F(5, 6))]
+    scale, scaled = integer_points(points)
+    assert scale == 60
+    assert all(type(x) is int for p in scaled for x in p)
+    assert [tuple(F(x, scale) for x in p) for p in scaled] == points
 
 
 def test_reduced_form_canonicity():
