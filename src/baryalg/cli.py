@@ -220,6 +220,8 @@ def _cmd_caratheodory(opts) -> dict:
     point = _parse_point(opts["point"])
     points = _parse_point_set(opts["set"])
     _require_same_dimension([point], points)
+    if not points:
+        raise CliError("bad-input", "empty generating set")
     try:
         indices, coeffs = hull.caratheodory(point, points)
     except hull.HullError as exc:

@@ -5,7 +5,10 @@ system solving (a reference for the tests), Smith normal form with
 unimodular transforms, and exact linear feasibility with witnesses and
 Farkas certificates.  Feasibility and optimization share one two-phase
 simplex in standard form whose Bland pivoting rule cannot cycle; an
-infeasible system gets its certificate from the phase-1 duals.  The simplex
+infeasible system gets its certificate from the phase-1 duals.  The relative
+interior point and the implicit equalities come from rounds of one more LP
+on the phase-1 tableau, maximizing a common lower bound tau on the slacks
+that are not known to be tight (relative_interior_point).  The simplex
 reads one int standard form (_StandardForm): kept rows scaled to ints plus
 sign bounds.  _standard_form converts LinearConstraints into it at the
 public boundary, and hull builds its membership system in it directly.
@@ -290,6 +293,8 @@ class LinearConstraint:
         return self.coeffs, self.rhs
 
     def satisfied_by(self, point: Sequence) -> bool:
+        if len(point) != len(self.coeffs):
+            raise LinalgError("constraint arity mismatch")
         value = sum((c * Fraction(x) for c, x in zip(self.coeffs, point)), Fraction(0))
         if self.rel == "<=":
             return value <= self.rhs
@@ -355,33 +360,14 @@ class _StandardForm(NamedTuple):
     bounds: dict[int, tuple[int, Fraction]]
 
 
-def _with_sign_bounds(num_vars: int, rows) -> _StandardForm:
-    """The standard form of a system given as one int row per constraint.
-
-    `rows` holds (index, scale, a, b, inequality) for every constraint, in
-    index order.  The first inequality per variable with b = 0 and one
-    nonzero entry a_j' becomes that variable's sign bound, with a_j the
-    oriented coefficient a_j' / scale; the rest are kept.
-    """
-    kept, bounds = [], {}
-    for row in rows:
-        i, scale, a, b, inequality = row
-        if inequality and b == 0:
-            support = [j for j, c in enumerate(a) if c]
-            if len(support) == 1 and support[0] not in bounds:
-                bounds[support[0]] = (i, Fraction(a[support[0]], scale))
-                continue
-        kept.append(row)
-    return _StandardForm(num_vars, len(rows), kept, bounds)
-
-
 def _standard_form(constraints, num_vars: Optional[int] = None) -> _StandardForm:
     """The standard form of a LinearConstraint sequence; a _StandardForm is kept as it is.
 
-    Each constraint, oriented to <=, is scaled by the lcm of its
-    denominators, and the sign bounds are picked by _with_sign_bounds: the
-    first inequality per variable whose oriented form is a_j x_j <= 0 (for
-    instance x_j >= 0), a_j being the oriented coefficient itself.
+    Each constraint is oriented to <=.  The first inequality per variable
+    whose oriented form is a_j x_j <= 0 (for instance x_j >= 0) becomes that
+    variable's sign bound, a_j being the oriented coefficient itself; every
+    other constraint is kept as its oriented row scaled by the lcm of its
+    denominators.
     """
     if isinstance(constraints, _StandardForm):
         return constraints
@@ -390,15 +376,20 @@ def _standard_form(constraints, num_vars: Optional[int] = None) -> _StandardForm
         if not constraints:
             raise LinalgError("num_vars required for an empty system")
         num_vars = len(constraints[0].coeffs)
-    rows = []
+    kept, bounds = [], {}
     for i, con in enumerate(constraints):
         if len(con.coeffs) != num_vars:
             raise LinalgError("constraint arity mismatch")
-        orient = -1 if con.rel == ">=" else 1
-        scale, ints = integer_row(con.coeffs + (con.rhs,))
-        *a, b = (orient * x for x in ints)
-        rows.append((i, scale, a, b, con.rel != "=="))
-    return _with_sign_bounds(num_vars, rows)
+        a, b = con.oriented()
+        inequality = con.rel != "=="
+        if inequality and b == 0:
+            support = [j for j, c in enumerate(a) if c]
+            if len(support) == 1 and support[0] not in bounds:
+                bounds[support[0]] = (i, a[support[0]])
+                continue
+        scale, (*ints, b) = integer_row(a + (b,))
+        kept.append((i, scale, ints, b, inequality))
+    return _StandardForm(num_vars, len(constraints), kept, bounds)
 
 
 class _Simplex:
@@ -413,6 +404,9 @@ class _Simplex:
     right-hand side.  Entries are ints: a row R, divided by its gcd, stands
     for R / R[basic], its basic entry being its positive scale, and the
     objective is the int row `obj` over the positive denominator `den`.
+    After phase 1, lp_extremum runs phase 2 on the tableau as it is;
+    _relative_interior runs its rounds on copies of it, each widened by a
+    tau column and a cap row tau + u = 1.
     """
 
     def __init__(self, form: _StandardForm):
@@ -530,22 +524,6 @@ class _Simplex:
         costs = [s * objective[j] for j, s in self.columns]
         return self._minimize(costs + [0] * (self.ncols + 1 - len(costs)), range(self.art_at))
 
-    def strict_rows(self) -> set[int]:
-        """Indices of the inequalities strict at the current basic solution.
-
-        The variable of a sign bound a_j x_j <= 0 is its column times a
-        sign, and a kept inequality's slack column is b - a.x, so either is
-        strict exactly when that column is basic at a positive level.
-        """
-        owners = {
-            k: self.bounds[j][0] for k, (j, _) in enumerate(self.columns) if j in self.bounds
-        }
-        kept = [i for i, *_, inequality in self.rows if inequality]
-        owners.update(zip(range(len(self.columns), self.art_at), kept))
-        return {
-            owners[b] for row, b in zip(self.tableau, self.basis) if b in owners and row[-1] > 0
-        }
-
     def point(self) -> tuple[list[int], int]:
         """The basic solution x as (numerators, den), den > 0 the lcm of
         the basic entries of the rows whose basic column is structural."""
@@ -614,25 +592,6 @@ def _slack(con: LinearConstraint, point: Sequence[Fraction]) -> Fraction:
     return b - sum((c * x for c, x in zip(a, point)), Fraction(0))
 
 
-def _tightened(form: _StandardForm, i: int) -> _StandardForm:
-    """The form _standard_form gives with inequality i's oriented right-hand side lowered by 1.
-
-    Every constraint is read as its int row, a sign bound a_j x_j <= 0
-    scaled to ints; inequality i's row a.x <= b, the oriented row times its
-    scale, gets b - scale; and the sign bounds are picked again.  So
-    tightening a sign bound hands its variable to the next row that could
-    sign it, if any, and a kept row tightened to b = 0 can become a sign
-    bound.
-    """
-    rows = list(form.rows)
-    for j, (k, a_j) in form.bounds.items():
-        scale, (a_jj,) = integer_row([a_j])
-        rows.append((k, scale, [a_jj if c == j else 0 for c in range(form.num_vars)], 0, True))
-    rows.sort(key=lambda row: row[0])
-    rows = [(k, scale, a, b - scale if k == i else b, ineq) for k, scale, a, b, ineq in rows]
-    return _with_sign_bounds(form.num_vars, rows)
-
-
 def relative_interior_point(constraints: Sequence[LinearConstraint]) -> tuple[Fraction, ...]:
     """A rational point strict on every inequality that is not an implicit equality.
 
@@ -640,18 +599,19 @@ def relative_interior_point(constraints: Sequence[LinearConstraint]) -> tuple[Fr
     tableau and one phase 1.  An infeasible system raises
     InfeasibleSystemError carrying that phase 1's Farkas certificate; one
     with no inequality returns the phase-1 witness, as lp_feasible does.
-    Otherwise each inequality's slack is maximized by phase 2 from a fresh
-    copy of the phase-1 basis, unless an earlier maximizer is already
-    strict on it.  The phase-2 objective is the inequality's int row a, or
-    a_j e_j for a sign bound: a positive multiple of its oriented row, so
-    Bland's rule makes the pivots lp_extremum would make.  Every maximizer
-    is feasible, and one with positive slack is strict on its own row, so
-    the average of those is strict on every inequality that some feasible
-    point makes strict.  Strictness is read off the tableau
-    (_Simplex.strict_rows).  An unbounded slack is made strict by one
-    phase 1 on the form with that inequality tightened by 1 (_tightened).
-    The point is found in ints (_relative_interior) and read as Fractions
-    once.
+    Otherwise the implicit equalities are found by rounds of one LP (after
+    Freund, Roundy & Todd 1985), each from a copy of the phase-1 basis.  K
+    starts as every inequality.  A round writes the slack of each
+    inequality in K as tau + s' with s' >= 0 and maximizes tau subject to
+    tau <= 1.  If tau > 0, its optimum is strict on all of K, and the
+    inequalities outside K are tight everywhere, so it is returned.  If
+    tau = 0, the optimal reduced costs r >= 0 come from duals w with
+    w.b = 0, so r.y = 0 at every feasible y: each slack in K with r > 0 is
+    zero on the whole feasible set and leaves K.  tau's reduced cost forces
+    the r on K to sum to at least 1, so every such round removes at least
+    one implicit equality, and there are at most (implicit equalities) + 1
+    rounds.  When K runs empty, the round's optimum is returned.  The point
+    is found in ints (_relative_interior) and read as Fractions once.
     """
     x, den = _relative_interior(_standard_form(constraints))
     return tuple(Fraction(n, den) for n in x)
@@ -660,45 +620,40 @@ def relative_interior_point(constraints: Sequence[LinearConstraint]) -> tuple[Fr
 def _relative_interior(form: _StandardForm) -> tuple[list[int], int]:
     """relative_interior_point of form as (numerators, den), den > 0.
 
-    Each maximizer is read off its tableau as _Simplex.point, and the
-    average of the strict ones is taken over the lcm of their denominators.
+    A round appends two columns before the right-hand side: tau, the sum of
+    the tableau columns of K's slacks, and u, the slack of the cap row
+    tau + u = 1, which is basic in it.  A sign-bounded variable's column is
+    its inequality's slack, and a kept inequality has its own slack column.
+    A positive tau, read off its basic row, is added to the basic point on
+    each sign-bounded variable in K, times its column's sign.
     """
     sx = _Simplex(form)
     if sx.phase1() > 0:
         error = InfeasibleSystemError("constraint system is infeasible")
         error.certificate = sx.certificate()
         raise error
-    objectives = {i: a for i, _, a, _, inequality in form.rows if inequality}
-    for j, (i, a_j) in form.bounds.items():
-        objectives[i] = [a_j if k == j else 0 for k in range(form.num_vars)]
-    if not objectives:
-        return sx.point()
-    sx.drop_artificials()
-    tableau, basis = sx.tableau, sx.basis
-    strict_points: list[tuple[list[int], int]] = []
-    strict: set[int] = set()
-    feasible_point = None
-    for i in sorted(objectives):
-        if i in strict:
-            continue
-        sx.tableau, sx.basis = list(tableau), list(basis)
-        if sx.phase2(objectives[i]) == "unbounded":
-            tx = _Simplex(_tightened(form, i))
-            tx.phase1()
-            strict_points.append(tx.point())
-            strict |= tx.strict_rows() | {i}
-            continue
-        rows = sx.strict_rows()
-        if i in rows:
-            strict_points.append(sx.point())
-            strict |= rows
-        else:
-            feasible_point = sx.point()  # an implicit equality: tight everywhere
-    if not strict_points:
-        return feasible_point
-    den = lcm(*(d for _, d in strict_points))
-    scaled = [[n * (den // d) for n in x] for x, d in strict_points]
-    return [sum(coords) for coords in zip(*scaled)], den * len(strict_points)
+    structural = len(sx.columns)
+    slacks = [k for k, (j, _) in enumerate(sx.columns) if j in form.bounds]
+    slacks += range(structural, sx.art_at)
+    sx.drop_artificials()  # pivots at level 0, so the basic point stays
+    tableau, basis, tau = sx.tableau, sx.basis, sx.ncols
+    while slacks:
+        sx.tableau = [row[:-1] + [sum(row[k] for k in slacks), 0, row[-1]] for row in tableau]
+        sx.tableau.append([0] * tau + [1, 1, 1])
+        sx.basis = basis + [tau + 1]
+        sx._minimize([0] * tau + [-1, 0, 0], [*range(sx.art_at), tau, tau + 1])
+        if sx.obj[-1] > 0:  # the optimum tau is obj[-1] / den
+            x, den = sx.point()
+            row = sx.tableau[sx.basis.index(tau)]
+            scale = lcm(den, row[tau])
+            x = [n * (scale // den) for n in x]
+            for k in slacks:
+                if k < structural:
+                    j, sign = sx.columns[k]
+                    x[j] += sign * row[-1] * (scale // row[tau])
+            return x, scale
+        slacks = [k for k in slacks if sx.obj[k] <= 0]
+    return sx.point()
 
 
 def implicit_equalities(constraints: Sequence[LinearConstraint]) -> list[int]:

@@ -396,6 +396,15 @@ def test_error_codes(capsys, tmp_path):
     )
     assert code == 3
     assert report["error"]["code"] == "bad-rational"
+    # an empty set is malformed input, as hull-member reads it; a point
+    # outside a real hull stays not-a-member
+    for command in ("hull-member", "caratheodory"):
+        code, report = run_cli(capsys, command, "--point", "[5]", "--set", "[]")
+        assert code == 3
+        assert report["error"]["code"] == "bad-input"
+    code, report = run_cli(capsys, "caratheodory", "--point", "9", "--set", "0,3")
+    assert code == 3
+    assert report["error"]["code"] == "not-a-member"
     code, report = run_cli(
         capsys, "affine-equiv", "--left", "no_such_file.json", "--right", "[]"
     )

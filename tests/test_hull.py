@@ -324,7 +324,10 @@ def test_membership_report_T_makes_one_smith_normal_form_and_no_dense_solve(monk
 
 
 def test_membership_report_T_builds_one_tableau(monkeypatch):
-    counts = {"built": 0, "phase1": 0}
+    """One tableau and one phase 1 per query; the relative interior takes one
+    phase-2 round (a _minimize call after phase 1's) when no coefficient is
+    forced to 0, and at most |J| + 1 when the coefficients of J are."""
+    counts = {"built": 0, "phase1": 0, "minimize": 0}
 
     class Counted(linalg._Simplex):
         def __init__(self, *args):
@@ -335,8 +338,18 @@ def test_membership_report_T_builds_one_tableau(monkeypatch):
             counts["phase1"] += 1
             return super().phase1()
 
+        def _minimize(self, *args):
+            counts["minimize"] += 1
+            return super()._minimize(*args)
+
     def forbidden(*args, **kwargs):
         raise AssertionError("membership_report_T solved a separate LP")
+
+    def query(d, points):
+        counts.update(built=0, phase1=0, minimize=0)
+        report = membership_report_T(d, points, DYADIC)
+        assert (counts["built"], counts["phase1"]) == (1, 1)
+        return report, counts["minimize"] - 1
 
     monkeypatch.setattr(linalg, "_Simplex", Counted)
     monkeypatch.setattr(linalg, "lp_extremum", forbidden)
@@ -354,13 +367,29 @@ def test_membership_report_T_builds_one_tableau(monkeypatch):
         ),
     ]
     for d, points, reason in cases:
-        counts.update(built=0, phase1=0)
-        report = membership_report_T(d, points, DYADIC)
+        report, rounds = query(d, points)
         assert report.reason == reason
-        assert counts == {"built": 1, "phase1": 1}
+        assert rounds == (0 if reason == "rational-hull-infeasible" else 1)
         if reason == "rational-hull-infeasible":
             constraints = _membership_constraints(tuple(d), points)
             assert linalg.verify_farkas_certificate(constraints, report.certificate)
+    # n = 6, m = 200: positive weights make d interior, so J is empty
+    rng = random.Random(31)
+    points = [tuple(F(rng.randint(-50, 50)) for _ in range(6)) for _ in range(200)]
+    weights = [rng.randint(1, 9) for _ in points]
+    d = tuple(
+        sum(w * p[j] for w, p in zip(weights, points)) / sum(weights) for j in range(6)
+    )
+    report, rounds = query(d, points)
+    assert report.reason == "no-ring-point-on-affine-hull"
+    assert rounds == 1
+    # a vertex: points[0] alone reaches first coordinate 60, so J holds
+    # every other coefficient
+    points[0] = (F(60),) + points[0][1:]
+    report, rounds = query(points[0], points)
+    assert report.combination.support == ((0, 1),)
+    implicit = len(points) - 1
+    assert rounds <= implicit + 1
 
 
 def _membership_instances(rng):
