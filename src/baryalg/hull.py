@@ -456,28 +456,54 @@ class TSegment:
         object.__setattr__(self, "end", Fraction(end))
 
 
-def _slice(seg: TSegment, ring: RingSpec, depth: int) -> tuple[int, range]:
-    """(den, ks): the depth-bounded slice of seg is its points at k/den, k in ks."""
+def _depth_denominator(ring: RingSpec, depth: int) -> int:
+    """(prod S)^depth: the parameter denominator of a depth-bounded slice."""
     if depth < 0:
         raise HullError("depth must be nonnegative")
+    return math.prod(ring.inverted_primes) ** depth
+
+
+def _slice(seg: TSegment, ring: RingSpec, depth: int) -> tuple[int, range]:
+    """(den, ks): the depth-bounded slice of seg is its points at k/den, k in ks."""
+    den = _depth_denominator(ring, depth)
     if not (ring_contains(seg.start, ring) and ring_contains(seg.end, ring)):
         raise HullError("segment endpoint parameters must lie in the ring")
-    den = math.prod(ring.inverted_primes) ** depth
     lo, hi = min(seg.start, seg.end), max(seg.start, seg.end)
     return den, range(math.ceil(lo * den), math.floor(hi * den) + 1)
 
 
+def _progression(start: Sequence[int], step: Sequence[int], count: int):
+    """The int tuples start + k*step for k = 0, ..., count - 1, in that order."""
+    return zip(
+        *[
+            range(a, a + count * s, s) if s else itertools.repeat(a, count)
+            for a, s in zip(start, step)
+        ]
+    )
+
+
 def t_segment_points(seg: TSegment, ring: RingSpec, depth: int) -> list[Point]:
-    """All segment points whose parameter denominator divides (prod S)^depth."""
+    """All segment points whose parameter denominator divides (prod S)^depth.
+
+    The slice is one int progression, as in segment_closure_bounded: over
+    s, the lcm of the anchors' denominators, the anchors are int tuples A
+    and B, and the point at parameter k/den is (den*A + k*(B - A))/(s*den),
+    listed in increasing k.
+    """
     den, ks = _slice(seg, ring, depth)
-    return [bary_op(seg.anchor_a, seg.anchor_b, Fraction(k, den)) for k in ks]
+    s, (a, b) = integer_points([seg.anchor_a, seg.anchor_b])
+    step = [y - x for x, y in zip(a, b)]
+    start = [den * x + ks.start * dx for x, dx in zip(a, step)]
+    scale = s * den
+    return [
+        tuple([Fraction(x, scale) for x in point])
+        for point in _progression(start, step, len(ks))
+    ]
 
 
-def _ring_lines(c: Point, d: Point, ring: RingSpec, line_bound: int):
-    for m in range(1, line_bound + 1):
-        if s_free_part(m, ring) == m:
-            direction_end = tuple(a + (b - a) / m for a, b in zip(c, d))
-            yield TSegment(c, direction_end, Fraction(0), Fraction(m))
+def _ring_lines(ring: RingSpec, line_bound: int):
+    """The indices m <= line_bound, free of inverted primes, one at a time."""
+    return (m for m in range(1, line_bound + 1) if s_free_part(m, ring) == m)
 
 
 def ring_lines_through(
@@ -495,12 +521,16 @@ def ring_lines_through(
         raise HullError("need two points of the same dimension")
     if c == d:
         raise HullError("need two distinct points")
-    return list(_ring_lines(c, d, ring, line_bound))
+    return [
+        TSegment(c, tuple(a + (b - a) / m for a, b in zip(c, d)), Fraction(0), Fraction(m))
+        for m in _ring_lines(ring, line_bound)
+    ]
 
 
 #: Most points segment_closure_bounded generates, counted over all pairs,
 #: lines and rounds with repeats.  Criterion 10's largest closure, depth 2
-#: and 3 rounds from {0, 3} over the dyadics, generates 189 342.
+#: and 3 rounds from {0, 3} over the dyadics, generates 189 342, 1729 of
+#: them distinct, and takes about 0.05 s on one core of a 2-vCPU machine.
 MAX_CLOSURE_POINTS = 500_000
 
 
@@ -519,29 +549,48 @@ def segment_closure_bounded(
     always stays inside the real convex hull of the input.  A closure that
     would generate more than MAX_CLOSURE_POINTS points is refused with
     HullError before the round that crosses the limit builds any point:
-    each round's slices are counted by _slice arithmetic first.
+    each round's slices are counted by arithmetic first.
+
+    The current set is kept as int tuples over one common scale.  With
+    den = (prod S)^depth and M the lcm of the explored line indices m, each
+    round multiplies the scale by den*M, so the slice joining c and d on
+    line m is the int progression c*den*M + k*(d - c)*(M/m), k = 0..m*den,
+    and repeats are dropped as int tuples.  Fractions are built only for
+    the returned set.
     """
     current = set(_check_points(points))
     too_many = f"the closure would generate more than {MAX_CLOSURE_POINTS} points"
+    if rounds <= 0 or len(current) < 2 or line_bound <= 0:
+        return current
     # every explored slice spans a parameter interval of length at least 1,
     # so it has more than 2**depth points: a deeper slice is refused before
     # (prod S)**depth is computed
-    explored = rounds > 0 and len(current) > 1 and line_bound > 0
-    if explored and depth >= MAX_CLOSURE_POINTS.bit_length():
+    if depth >= MAX_CLOSURE_POINTS.bit_length():
         raise HullError(too_many)
-
+    den = _depth_denominator(ring, depth)
+    # the lines are the same for every pair; each adds m*den + 1 points
+    lines, per_pair = [], 0
+    for m in _ring_lines(ring, line_bound):
+        per_pair += m * den + 1
+        if per_pair > MAX_CLOSURE_POINTS:
+            raise HullError(too_many)
+        lines.append(m)
+    big = math.lcm(*lines)
+    scale, scaled = integer_points(list(current))
+    current = set(scaled)
     generated = 0
     for _ in range(rounds):
-        segments = []
-        for c, d in itertools.combinations(sorted(current), 2):
-            for seg in _ring_lines(c, d, ring, line_bound):
-                generated += len(_slice(seg, ring, depth)[1])
-                if generated > MAX_CLOSURE_POINTS:
-                    raise HullError(too_many)
-                segments.append(seg)
-        for seg in segments:
-            current.update(t_segment_points(seg, ring, depth))
-    return current
+        generated += len(current) * (len(current) - 1) // 2 * per_pair
+        if generated > MAX_CLOSURE_POINTS:
+            raise HullError(too_many)
+        scale *= den * big
+        previous = [tuple([den * big * x for x in p]) for p in current]
+        current = set(previous)
+        for c, d in itertools.combinations(previous, 2):
+            for m in lines:
+                step = [(y - x) // (den * m) for x, y in zip(c, d)]
+                current.update(_progression(c, step, m * den + 1))
+    return {tuple([Fraction(x, scale) for x in p]) for p in current}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from dataclasses import replace
@@ -851,14 +852,15 @@ def test_closure_refuses_more_than_max_points(monkeypatch):
 
 
 def test_refused_closure_round_builds_no_point(monkeypatch):
+    # the engine builds each slice as one int progression
     built = []
-    original = hull.t_segment_points
+    original = hull._progression
 
-    def counting(seg, ring, depth):
-        built.append(seg)
-        return original(seg, ring, depth)
+    def counting(start, step, count):
+        built.append(count)
+        return original(start, step, count)
 
-    monkeypatch.setattr(hull, "t_segment_points", counting)
+    monkeypatch.setattr(hull, "_progression", counting)
     base = _points([0], [3])
     # the slice on line m has 4m + 1 points, so the odd lines m <= 707
     # already pass the limit, and none of them is built
@@ -870,6 +872,140 @@ def test_refused_closure_round_builds_no_point(monkeypatch):
     with pytest.raises(HullError):
         segment_closure_bounded(base, DYADIC, 1, 2)
     assert len(built) == 2
+
+
+def _reference_closure(points, ring, depth, rounds, line_bound=3):
+    """The Fraction engine: every slice point built with bary_op and kept as
+    a tuple of Fractions.  The reference for segment_closure_bounded."""
+    current = set(hull._check_points(points))
+    too_many = f"the closure would generate more than {hull.MAX_CLOSURE_POINTS} points"
+    explored = rounds > 0 and len(current) > 1 and line_bound > 0
+    if explored and depth >= hull.MAX_CLOSURE_POINTS.bit_length():
+        raise HullError(too_many)
+    generated = 0
+    for _ in range(rounds):
+        segments = []
+        for c, d in itertools.combinations(sorted(current), 2):
+            for m in range(1, line_bound + 1):
+                if s_free_part(m, ring) != m:
+                    continue
+                if depth < 0:
+                    raise HullError("depth must be nonnegative")
+                den = math.prod(ring.inverted_primes) ** depth
+                generated += m * den + 1
+                if generated > hull.MAX_CLOSURE_POINTS:
+                    raise HullError(too_many)
+                end = tuple(a + (b - a) / m for a, b in zip(c, d))
+                segments.append((c, end, m, den))
+        for c, end, m, den in segments:
+            current.update(bary_op(c, end, F(k, den)) for k in range(m * den + 1))
+    return current
+
+
+def _closure_instance(rng):
+    dim = rng.choice([0, 1, 1, 2, 2, 3, 3])
+
+    def coordinate():
+        return F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 5, 6, 10]))
+
+    count = rng.choice([1, 2, 2, 3, 3])
+    distinct = [tuple(coordinate() for _ in range(dim)) for _ in range(count)]
+    if len(distinct) > 1 and rng.random() < 0.4:
+        # a point on the line through the first two
+        t = coordinate()
+        a, b = distinct[0], distinct[1]
+        distinct.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+    # and some of them again
+    points = distinct + [rng.choice(distinct) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(points)
+    ring = rng.choice([DYADIC, RingSpec([3]), RingSpec([2, 5])])
+    rounds = rng.choice([0, 1, 1, 2, 2, 3, 3])
+    return points, ring, rng.randint(0, 2), rounds, rng.randint(0, 4)
+
+
+def _has_collinear_triple(points):
+    for a, b, c in itertools.combinations(set(points), 3):
+        u = [y - x for x, y in zip(a, b)]
+        v = [y - x for x, y in zip(a, c)]
+        if all(s * t == s2 * t2 for s, t2 in zip(u, v) for s2, t in zip(u, v)):
+            return True
+    return False
+
+
+def _closure_outcome(engine, *args, **kwargs):
+    try:
+        return engine(*args, **kwargs)
+    except HullError as exc:
+        return ("refused", str(exc))
+
+
+def test_closure_matches_fraction_reference(monkeypatch):
+    # a low limit keeps the reference cheap and makes refusals common
+    monkeypatch.setattr(hull, "MAX_CLOSURE_POINTS", 1000)
+    rng = random.Random(32)
+    seen = set()
+    for _ in range(400):
+        args = _closure_instance(rng)
+        got = _closure_outcome(segment_closure_bounded, *args)
+        expected = _closure_outcome(_reference_closure, *args)
+        assert got == expected, args
+        points, ring, depth, rounds, line_bound = args
+        seen.add("refused" if isinstance(got, tuple) else "built")
+        seen.add(f"dim {len(points[0])}")
+        seen.add(f"ring {ring.inverted_primes}")
+        seen.add(f"depth {depth}")
+        seen.add(f"rounds {rounds}")
+        seen.add(f"line_bound {line_bound}")
+        seen.add("repeated points" * (len(set(points)) < len(points)))
+        seen.add("collinear" * _has_collinear_triple(points))
+        if not isinstance(got, tuple):
+            assert all(type(c) is F for p in got for c in p)
+    assert {"refused", "built", "repeated points", "collinear"} <= seen
+    assert {f"dim {k}" for k in range(4)} <= seen
+    assert {"ring (2,)", "ring (3,)", "ring (2, 5)"} <= seen
+    assert {f"depth {k}" for k in range(3)} | {f"rounds {k}" for k in range(4)} <= seen
+    assert {f"line_bound {k}" for k in range(5)} <= seen
+
+
+def test_closure_refusals_match_fraction_reference():
+    base = _points([0], [3])
+    too_many = f"the closure would generate more than {hull.MAX_CLOSURE_POINTS} points"
+    for args, kwargs, message in [
+        # a slice is explored at a depth past the limit
+        ((base, DYADIC, hull.MAX_CLOSURE_POINTS.bit_length(), 1), {}, too_many),
+        # the first round generates 402 points, the second crosses the limit
+        ((_points([0], [1]), RingSpec([2, 5]), 2, 2), {}, too_many),
+        ((base, DYADIC, 2, 1), {"line_bound": 10**9}, too_many),
+        ((base, DYADIC, -1, 1), {}, "depth must be nonnegative"),
+        ((_points([0, 1], [1, 0]), RingSpec([2, 5]), -3, 2), {}, "depth must be nonnegative"),
+    ]:
+        for engine in (segment_closure_bounded, _reference_closure):
+            with pytest.raises(HullError) as raised:
+                engine(*args, **kwargs)
+            assert str(raised.value) == message, (engine, args)
+    # nothing is explored, so neither the depth nor the limit is read
+    for args in [
+        (_points([0]), DYADIC, 10**12, 1),
+        (_points([0]), DYADIC, -1, 3),
+        (base, DYADIC, -1, 0),
+        (base, DYADIC, 10**12, 1, 0),
+    ]:
+        assert segment_closure_bounded(*args) == _reference_closure(*args) == set(args[0])
+
+
+def test_slices_are_built_without_bary_op(monkeypatch):
+    seg = TSegment([F(1, 3), 0], [2, F(-5, 2)], F(-3, 4), F(7, 2))
+    # the parameters k/4 in [-3/4, 7/2], in increasing order
+    expected = [bary_op(seg.anchor_a, seg.anchor_b, F(k, 4)) for k in range(-3, 15)]
+    base = _points([0, 0], [1, F(1, 3)], [F(-1, 2), 2])
+    closure = _reference_closure(base, RingSpec([2, 5]), 1, 1)
+
+    def refuse(*args):
+        raise AssertionError("bary_op called")
+
+    monkeypatch.setattr(hull, "bary_op", refuse)
+    assert t_segment_points(seg, DYADIC, 2) == expected
+    assert segment_closure_bounded(base, RingSpec([2, 5]), 1, 1) == closure
 
 
 def test_random_ring_terms_live_in_ring_hull():

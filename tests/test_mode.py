@@ -256,6 +256,32 @@ def test_check_laws_reports_a_wrong_operation(monkeypatch):
     assert "cancellativity" not in by_law
 
 
+def test_check_laws_computes_each_distinct_operation_once(monkeypatch):
+    calls = []
+    original = mode._scaled_op
+
+    def counting(u, v, a, e):
+        calls.append((tuple(u), tuple(v), a, e))
+        return original(u, v, a, e)
+
+    monkeypatch.setattr(mode, "_scaled_op", counting)
+    report = check_laws(mode.FREE_SAMPLE, mode.CORNER_PARAMETERS)
+    assert report.ok
+    assert report.checked == {
+        "idempotence": 8,
+        "commutativity": 32,
+        "entropic": 1024,
+        "cancellativity": 64,
+    }
+    # at the parameters 0 and 1 every table entry is a sample point, so the
+    # outer operations of the 1024 entropic instances repeat the 2 * 4 * 4
+    # table entries
+    assert len(calls) == len(set(calls)) == 32
+    calls.clear()
+    check_laws([(0,), (1,), (2,), (3,)], [F(1, 2), F(1, 3)])
+    assert len(calls) == len(set(calls))
+
+
 def division_point_relations(y, x, p):
     """b = y x (p) with the inverse laws x = y b (1/p), y = b x (p/(p-1)) and
     dist(y,x)^2 p^2 = dist(y,b)^2, for 0 < p < 1 and y != x."""
